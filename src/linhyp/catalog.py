@@ -32,7 +32,14 @@ from typing import Iterable, Sequence
 
 from .errors import DuplicateName, LinhypError, ParseError
 from .hypermap import FlagHypermap
-from .permgroup import FiniteGroup, Permutation, closure, parse_cycles
+from .permgroup import (
+    CLOSURE_CAP_ENV,
+    FiniteGroup,
+    Permutation,
+    closure,
+    closure_cap,
+    parse_cycles,
+)
 
 
 @dataclass
@@ -178,9 +185,14 @@ def load_flag_hypermap(path: str | Path) -> FlagHypermap:
     for key in ("flags", "r0", "r1", "r2"):
         if key not in fields:
             raise ParseError(f"missing {key!r} line", path=str(path))
-    if not fields["flags"].isdigit():
-        raise ParseError(f"bad flag count {fields['flags']!r}", path=str(path))
-    n = int(fields["flags"])
+    count = fields["flags"]
+    if not count.isdecimal() or int(count) < 1:
+        raise ParseError(f"bad flag count {count!r}", path=str(path))
+    n, cap = int(count), closure_cap()
+    if n > cap:
+        raise ParseError(
+            f"flag count {n} exceeds the cap of {cap} ({CLOSURE_CAP_ENV})",
+            path=str(path))
     try:
         perms = [parse_cycles(fields[k], n) for k in ("r0", "r1", "r2")]
     except LinhypError as exc:

@@ -1,27 +1,34 @@
 """Exhaustive classification of regular linear hypermaps on a group.
 
-The classifier streams all ordered triples of distinct involutions in
-lexicographic index order, keeps the admissible ones (triple generates the
-group and passes both subgroup conditions), and reduces them to one
-representative per automorphism orbit.  Deduplication uses a canonical key:
-the lexicographically least image tuple of the triple under the full
-automorphism group.  A triple is a class representative exactly when it
-equals its own key, so the stream needs no storage beyond one counter per
-class.
+A triple is admissible when its three distinct involutions generate the
+group and pass both subgroup conditions.  Its canonical key is the
+lexicographically least image of the triple under the automorphism group
+``Aut(G)``.  Only the identity automorphism fixes a generating triple, so
+``Aut(G)`` acts freely on admissible triples: every class has exactly
+``|Aut|`` of them, and a triple is its own key exactly when ``r0`` is least
+in its ``Aut``-orbit on involutions, ``r1`` least in its orbit under the
+stabiliser of ``r0``, and ``r2`` least in its orbit under the stabiliser of
+``r0`` and ``r1``.  ``classify`` walks this stabiliser chain and checks
+admissibility only for the triples that pass all three filters; each
+admissible survivor is one class, met in key order.
+
+``Aut(G)`` comes from :func:`~linhyp.permgroup.automorphism_group`, which
+matches Cayley codes of generator images and keeps the 2048-element cap.
+The ``jobs`` argument is accepted for compatibility; the scan runs in one
+process and its output never depends on ``jobs``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import LinhypError
 from .permgroup import FiniteGroup, automorphism_group, involutions
 from .regular import InvolutionTriple, MSequence, RegularLinearHypermap
-
-DEFAULT_JOBS_CAP = 8
 
 
 def canonical_key(t: InvolutionTriple) -> tuple[int, int, int]:
@@ -89,30 +96,23 @@ class _TripleScanner:
             self._cond2[key] = ok
         return ok
 
-    def generates(self, r0: int, r1: int, r2: int) -> bool:
-        return self.group.subgroup_bits((r0, r1, r2)) == self.full
+    def admissible(self, r0: int, r1: int, r2: int) -> bool:
+        h = self.pair(r1, r2)
+        k = self.pair(r0, r2)
+        return ((h & k) == (1 | 1 << r2)
+                and self.product_condition(h, k)
+                and self.group.subgroup_bits((r0, r1, r2)) == self.full)
 
-    def scan(self, r0_values: Sequence[int] | None = None
-             ) -> Iterator[tuple[int, int, int]]:
+    def scan(self) -> Iterator[tuple[int, int, int]]:
         """Admissible raw index triples, in lexicographic order."""
         invs = self.invs
-        ident_bit = 1
-        for r0 in (invs if r0_values is None else r0_values):
+        for r0 in invs:
             for r1 in invs:
                 if r1 == r0:
                     continue
                 for r2 in invs:
-                    if r2 == r0 or r2 == r1:
-                        continue
-                    h = self.pair(r1, r2)
-                    k = self.pair(r0, r2)
-                    if h & k != (ident_bit | 1 << r2):
-                        continue
-                    if not self.product_condition(h, k):
-                        continue
-                    if not self.generates(r0, r1, r2):
-                        continue
-                    yield (r0, r1, r2)
+                    if r2 != r0 and r2 != r1 and self.admissible(r0, r1, r2):
+                        yield (r0, r1, r2)
 
 
 def admissible_triples(group: FiniteGroup) -> Iterator[InvolutionTriple]:
@@ -153,98 +153,60 @@ class ClassificationResult:
         return len(self.classes)
 
 
-# fork workers read this module-level tuple; it is set just before the pool
-# is created and cleared afterwards
-_FORK_STATE: tuple[_TripleScanner, list[tuple[int, ...]]] | None = None
+def _orbit_minima(images: np.ndarray, points: np.ndarray) -> list[int]:
+    """Positions in ``points`` of the points least in their orbit.
+
+    ``images[a, i]`` is the image of ``points[i]`` under automorphism ``a``.
+    """
+    return np.flatnonzero(images.min(axis=0) == points).tolist()
 
 
-def _count_orbits(scanner: _TripleScanner, maps: list[tuple[int, ...]],
-                  r0_values: Sequence[int] | None
-                  ) -> tuple[int, dict[tuple[int, int, int], int]]:
-    counts: dict[tuple[int, int, int], int] = {}
-    total = 0
-    for r0, r1, r2 in scanner.scan(r0_values):
-        total += 1
-        key = min((m[r0], m[r1], m[r2]) for m in maps)
-        counts[key] = counts.get(key, 0) + 1
-    return total, counts
-
-
-def _fork_worker(r0_chunk: list[int]):
-    scanner, maps = _FORK_STATE
-    return _count_orbits(scanner, maps, r0_chunk)
+def _self_canonical_triples(maps: list[tuple[int, ...]], invs: list[int]
+                            ) -> Iterator[tuple[int, int, int]]:
+    """Distinct involution triples equal to their canonical key, in order."""
+    points = np.array(invs, dtype=np.uint16)
+    images = np.array(maps, dtype=np.uint16)[:, points]
+    for i0 in _orbit_minima(images, points):
+        stab0 = images[images[:, i0] == points[i0]]
+        for i1 in _orbit_minima(stab0, points):
+            if i1 == i0:
+                continue
+            stab01 = stab0[stab0[:, i1] == points[i1]]
+            for i2 in _orbit_minima(stab01, points):
+                if i2 != i0 and i2 != i1:
+                    yield invs[i0], invs[i1], invs[i2]
 
 
 def classify(group: FiniteGroup, group_name: str = "",
              jobs: int = 1) -> ClassificationResult:
     """One representative per automorphism orbit of admissible triples.
 
-    Deterministic regardless of ``jobs``: workers partition the first
-    coordinate, per-class counters merge additively, and the final class
-    list is sorted by canonical key.
+    Scans only the triples that equal their canonical key (see the module
+    docstring), so every admissible one found is a class of ``|Aut|``
+    triples and the classes come out sorted by key.  ``jobs`` is accepted
+    and ignored; the result never depends on it.
     """
     auts = automorphism_group(group)
-    maps = [a.mapping for a in auts]
     scanner = _TripleScanner(group)
-
-    chunks = _split_round_robin(scanner.invs, jobs)
-    if len(chunks) <= 1:
-        total, counts = _count_orbits(scanner, maps, None)
-    else:
-        total, counts = _count_orbits_parallel(scanner, maps, chunks)
-
     classes = []
-    for key in sorted(counts):
+    for key in _self_canonical_triples([a.mapping for a in auts],
+                                       scanner.invs):
+        if not scanner.admissible(*key):
+            continue
         hm = RegularLinearHypermap.from_triple(InvolutionTriple(group, *key))
         classes.append(ClassifiedHypermap(
             hypermap=hm,
             canonical_key=key,
-            orbit_size=counts[key],
+            orbit_size=len(auts),
             m_seq=hm.m_sequence(),
         ))
     return ClassificationResult(
         group_name=group_name,
         group=group,
         classes=tuple(classes),
-        admissible_triple_count=total,
+        admissible_triple_count=len(classes) * len(auts),
         aut_group_size=len(auts),
     )
-
-
-def _split_round_robin(items: Sequence[int], jobs: int) -> list[list[int]]:
-    jobs = max(1, min(jobs, len(items))) if items else 1
-    if jobs == 1:
-        return [list(items)]
-    chunks: list[list[int]] = [[] for _ in range(jobs)]
-    for pos, item in enumerate(items):
-        chunks[pos % jobs].append(item)
-    return chunks
-
-
-def _count_orbits_parallel(scanner, maps, chunks):
-    global _FORK_STATE
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:
-        total, counts = _count_orbits(scanner, maps, None)
-        return total, counts
-    _FORK_STATE = (scanner, maps)
-    try:
-        with ctx.Pool(processes=len(chunks)) as pool:
-            parts = pool.map(_fork_worker, chunks)
-    finally:
-        _FORK_STATE = None
-    total = sum(p[0] for p in parts)
-    counts: dict[tuple[int, int, int], int] = {}
-    for _, part in parts:
-        for key, c in part.items():
-            counts[key] = counts.get(key, 0) + c
-    return total, counts
-
-
-def default_jobs() -> int:
-    import os
-    return max(1, min(os.cpu_count() or 1, DEFAULT_JOBS_CAP))
 
 
 # --- census -------------------------------------------------------------------

@@ -3,7 +3,8 @@ census.
 
 Exit codes: 0 success, 1 a user input failed validation or parsing,
 2 an internal consistency check failed (a bug, not a user error),
-64 command-line usage errors.
+64 command-line usage errors, including ``--format csv`` outside
+``classify`` and a malformed ``LHM_MAX_GROUP_ORDER``.
 
 Output policy: with ``--out`` the file is written in the requested
 ``--format`` (json by default) and stdout gets a human-readable summary;
@@ -35,11 +36,10 @@ from .classify import (
     ClassificationResult,
     census,
     classify,
-    default_jobs,
     genus_upper_bound,
 )
 from .constructions import PLATONIC_SCHLAFLI, FamilySpec, digon, medial
-from .errors import InternalCheckFailed, LinhypError
+from .errors import BadEnvironment, InternalCheckFailed, LinhypError
 from .hypermap import extract_cells, surface_invariant, validate_hypermap
 from .regular import RegularLinearHypermap, triple_from_words
 
@@ -50,9 +50,13 @@ class _UsageError(Exception):
     pass
 
 
+class _ArgumentError(_UsageError):
+    """A malformed command line; the full help follows the message."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise _ArgumentError(message)
 
 
 def _manifest(inputs: dict[str, str], filters: dict | None,
@@ -174,26 +178,22 @@ def _census_table(report: CensusReport) -> str:
 
 def _emit(args, payload_json: dict | None, table: str,
           csv_text: str | None = None) -> None:
-    """Apply the output policy shared by all subcommands."""
-    fmt = args.format
+    """Apply the output policy shared by all subcommands.
+
+    ``csv_text`` is given only by ``classify``; ``main`` rejects
+    ``--format csv`` for every other subcommand.
+    """
+    if args.format == "json":
+        text = json.dumps(payload_json, indent=2) + "\n"
+    elif args.format == "csv":
+        text = csv_text
+    else:
+        text = table
     if args.out:
-        path = Path(args.out)
-        if fmt == "json":
-            path.write_text(json.dumps(payload_json, indent=2) + "\n",
-                            encoding="utf-8")
-        elif fmt == "csv":
-            path.write_text(csv_text if csv_text is not None else "",
-                            encoding="utf-8")
-        else:
-            path.write_text(table, encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
         sys.stdout.write(table)
     else:
-        if fmt == "json":
-            sys.stdout.write(json.dumps(payload_json, indent=2) + "\n")
-        elif fmt == "csv":
-            sys.stdout.write(csv_text if csv_text is not None else "")
-        else:
-            sys.stdout.write(table)
+        sys.stdout.write(text)
 
 
 def _single_hypermap_output(args, m: RegularLinearHypermap,
@@ -383,9 +383,9 @@ def build_parser() -> _Parser:
         p.add_argument("--out", help="write the result to this file")
         p.add_argument("--format", choices=("json", "csv", "table"),
                        default=None, help="output format")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for enumeration "
-                            "(default: available parallelism)")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; enumeration runs "
+                            "in one process and output never depends on it")
 
     p = sub.add_parser("classify",
                        help="all hypermap classes on one group")
@@ -444,12 +444,17 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.format is None:
             args.format = "json" if args.out else "table"
-        if getattr(args, "jobs", None) is None:
-            args.jobs = default_jobs()
+        if args.format == "csv" and args.command != "classify":
+            raise _UsageError("--format csv is only available for classify")
         return args.handler(args)
     except _UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n\n")
-        parser.print_help(sys.stderr)
+        sys.stderr.write(f"usage error: {exc}\n")
+        if isinstance(exc, _ArgumentError):
+            sys.stderr.write("\n")
+            parser.print_help(sys.stderr)
+        return USAGE_EXIT
+    except BadEnvironment as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
         return USAGE_EXIT
     except InternalCheckFailed as exc:
         sys.stderr.write(f"internal check failed: {exc}\n")

@@ -37,6 +37,10 @@ class GroupTooLarge(LinhypError):
     """Closure exceeded the configured element cap."""
 
 
+class BadEnvironment(LinhypError):
+    """An environment variable holds a value the engine cannot use."""
+
+
 class IndexOutOfRange(LinhypError):
     """An element index does not refer to an element of the group."""
 

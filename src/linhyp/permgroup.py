@@ -13,6 +13,7 @@ then ``q``, so exponent-style actions compose naturally.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from array import array
@@ -23,6 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    BadEnvironment,
     DegreeMismatch,
     GroupTooLarge,
     GroupTooLargeForAut,
@@ -365,6 +367,21 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order}, degree={self.degree})"
 
 
+def closure_cap() -> int:
+    """The closure element cap: ``LHM_MAX_GROUP_ORDER`` if set, else 200000."""
+    env = os.environ.get(CLOSURE_CAP_ENV)
+    if not env:
+        return DEFAULT_CLOSURE_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise BadEnvironment(
+            f"{CLOSURE_CAP_ENV} must be a positive integer, got {env!r}")
+    return cap
+
+
 def closure(generators: Sequence[Permutation],
             max_order: int | None = None) -> FiniteGroup:
     """Enumerate the group generated by ``generators``.
@@ -375,8 +392,7 @@ def closure(generators: Sequence[Permutation],
     if not generators:
         raise ValueError("at least one generator is required")
     if max_order is None:
-        env = os.environ.get(CLOSURE_CAP_ENV)
-        max_order = int(env) if env else DEFAULT_CLOSURE_CAP
+        max_order = closure_cap()
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise DegreeMismatch("generators of mixed degree")
@@ -616,13 +632,17 @@ def _bfs_subgroup(group: FiniteGroup, gens: Sequence[int]):
 def automorphism_group(group: FiniteGroup,
                        max_order: int = DEFAULT_AUT_CAP
                        ) -> list[GroupAutomorphism]:
-    """The complete automorphism group, in a deterministic order.
+    """The complete automorphism group, sorted by mapping.
 
-    Backtracks on images of a greedy minimal generating sequence.  A partial
-    image tuple survives level j only if it induces an injective map on the
-    subgroup generated by the first j generators that respects the
-    multiplication table, which prunes hard enough for groups in the
-    hundreds of elements.  The result list is frozen on the group, so
+    Fixes a short generating tuple (g1..gk) and relabels the group by BFS
+    from the identity over right multiplication by the gi; the labelled
+    multiplication by the gi is the tuple's Cayley code.  An image tuple
+    (h1..hk) extends to an automorphism exactly when its own BFS gives the
+    same code (Conder & Dobcsanyi, JCTB 81, 2001).  Each hi is drawn from
+    the elements sharing gi's automorphism-invariant label (element order,
+    centraliser size) and a candidate is dropped at its first mismatch.
+    This needs the dense multiplication table, which every group within
+    the default cap has.  The result list is frozen on the group, so
     concurrent callers compute it at most once.
     """
     if group.order > max_order:
@@ -634,60 +654,106 @@ def automorphism_group(group: FiniteGroup,
     return list(group._aut_cache)
 
 
+def _label_classes(group: FiniteGroup) -> list[list[int]]:
+    """Non-identity elements grouped by (element order, centraliser size),
+    smallest class first.
+
+    Automorphisms preserve both, so each class is a union of Aut-orbits.
+    """
+    table = group.table_view()
+    centraliser = np.count_nonzero(table == table.T, axis=1).tolist()
+    classes: dict[tuple[int, int], list[int]] = {}
+    for i in range(1, group.order):
+        label = (group.element_order(i), centraliser[i])
+        classes.setdefault(label, []).append(i)
+    return sorted(classes.values(), key=lambda c: (len(c), c[0]))
+
+
+def _conjugacy_representatives(group: FiniteGroup,
+                               members: list[int]) -> list[int]:
+    """One element of each conjugacy class meeting ``members``."""
+    table = group.table_view()
+    inverse = np.asarray(group._inverse)
+    every = np.arange(group.order)
+    reps: list[int] = []
+    seen: set[int] = set()
+    for a in members:
+        if a not in seen:
+            reps.append(a)
+            seen.update(table[table[inverse, a], every].tolist())
+    return reps
+
+
+def _generating_tuple(group: FiniteGroup,
+                      classes: list[list[int]]) -> list[int]:
+    """A short generating tuple whose label classes have a small product.
+
+    Tries one generator, then pairs of classes in order of their size
+    product.  Inner automorphisms preserve labels, so the first entry of a
+    pair need only run over conjugacy-class representatives.  A group that
+    no pair generates gets its greedy minimal generating sequence.
+    """
+    n = group.order
+    for cls in classes:
+        if group.element_order(cls[0]) == n:
+            return [cls[0]]
+    pairs = sorted((len(a) * len(b), i, j)
+                   for i, a in enumerate(classes)
+                   for j, b in enumerate(classes[i:], start=i))
+    for _, i, j in pairs:
+        for a in _conjugacy_representatives(group, classes[i]):
+            for b in classes[j]:
+                if b != a and group.subgroup_bits((a, b)).bit_count() == n:
+                    return [a, b]
+    return minimal_generating_sequence(group)
+
+
+def _match_code(flat: array, n: int, code: list[int],
+                images: Sequence[int]) -> list[int] | None:
+    """The BFS order of G over right multiplication by ``images``, or None
+    as soon as its Cayley code departs from ``code``."""
+    order = [0]
+    seen = bytearray(n)
+    seen[0] = 1
+    c = p = 0
+    while p < len(order):
+        base = order[p] * n
+        p += 1
+        for h in images:
+            z = flat[base + h]
+            want = code[c]
+            c += 1
+            if want == len(order):
+                if seen[z]:
+                    return None
+                seen[z] = 1
+                order.append(z)
+            elif order[want] != z:
+                return None
+    return order
+
+
 def _compute_automorphisms(group: FiniteGroup) -> list[GroupAutomorphism]:
     n = group.order
     if n == 1:
         return [GroupAutomorphism(group, (0,))]
-    gens = minimal_generating_sequence(group)
-    levels = [_bfs_subgroup(group, gens[:j + 1]) for j in range(len(gens))]
-    by_order: dict[int, list[int]] = {}
-    for i in range(n):
-        by_order.setdefault(group.element_order(i), []).append(i)
+    classes = _label_classes(group)
+    label_of = {x: cls for cls in classes for x in cls}
+    gens = _generating_tuple(group, classes)
+    elems, _ = _bfs_subgroup(group, gens)
+    position = [0] * n
+    for p, e in enumerate(elems):
+        position[e] = p
     mul = group.mul
+    code = [position[mul(e, g)] for e in elems for g in gens]
+    flat = group._flat
     results: list[tuple[int, ...]] = []
-
-    def extend(level: int, mapping: list[int], gen_imgs: list[int]) -> None:
-        if level == len(gens):
+    for images in itertools.product(*(label_of[g] for g in gens)):
+        order = _match_code(flat, n, code, images)
+        if order is not None:
+            mapping = [0] * n
+            for e, y in zip(elems, order):
+                mapping[e] = y
             results.append(tuple(mapping))
-            return
-        elems, defs = levels[level]
-        prefix = gens[:level + 1]
-        for cand in by_order[group.element_order(gens[level])]:
-            m = mapping.copy()
-            imgs = gen_imgs + [cand]
-            ok = True
-            for e in elems[1:]:
-                parent, k = defs[e]
-                v = mul(m[parent], imgs[k])
-                if m[e] < 0:
-                    m[e] = v
-                elif m[e] != v:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            seen = bytearray(n)
-            for e in elems:
-                me = m[e]
-                if seen[me]:
-                    ok = False
-                    break
-                seen[me] = 1
-            if not ok:
-                continue
-            for e in elems:
-                me = m[e]
-                for k, g in enumerate(prefix):
-                    if m[mul(e, g)] != mul(me, imgs[k]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                extend(level + 1, m, imgs)
-
-    start = [-1] * n
-    start[0] = 0
-    extend(0, start, [])
     results.sort()
     return [GroupAutomorphism(group, m) for m in results]

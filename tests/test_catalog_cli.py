@@ -97,6 +97,16 @@ def test_flag_file_errors(tmp_path):
         load_flag_hypermap(bad)
 
 
+@pytest.mark.parametrize("count", ["99999999999", "0", "\u00b2"])
+def test_flag_count_checked_before_allocation(tmp_path, count):
+    bad = tmp_path / "huge.flags"
+    bad.write_text(f"flags: {count}\nr0: (1 2)\nr1: (1 2)\nr2: (1 2)\n",
+                   encoding="utf-8")
+    with pytest.raises(ParseError, match="flag count"):
+        load_flag_hypermap(bad)
+    assert main(["validate-flags", "--flags", str(bad)]) == 1
+
+
 # --- CLI ------------------------------------------------------------------------
 
 
@@ -295,3 +305,26 @@ def test_cli_internal_error_exit_2(monkeypatch):
     monkeypatch.setattr(cons, "_PLATONIC_TRIPLES", broken)
     code = main(["family", "--family", "platonic", "--solid", "cube"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--catalog", "DATA"],
+    ["invariants", "--group", "DATA/s4.grp",
+     "--triple", "(1 2);(2 3);(3 4)"],
+])
+def test_cli_csv_is_a_usage_error_outside_classify(data_dir, capsys, argv):
+    argv = [a.replace("DATA", str(data_dir)) for a in argv]
+    assert main(argv + ["--format", "csv"]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "usage error: --format csv is only available for classify"]
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_cli_bad_closure_cap_env_exit_64(data_dir, monkeypatch, capsys, value):
+    monkeypatch.setenv("LHM_MAX_GROUP_ORDER", value)
+    code = main(["classify", "--group", str(data_dir / "s4.grp")])
+    assert code == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "LHM_MAX_GROUP_ORDER" in err[0]

@@ -4,6 +4,8 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from linhyp.classify import (
     admissible_triples,
@@ -190,6 +192,24 @@ def test_classified_m_sequences_match_flag_recomputation(s4_classes):
             ms.vertices, ms.hyperedges, ms.hyperfaces)
         s = surface_invariant(flags)
         assert (s.genus, s.orientable) == (ms.genus, ms.orientable)
+
+
+random_generators = st.integers(4, 6).flatmap(
+    lambda d: st.lists(st.permutations(range(d)), min_size=2, max_size=3))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_generators)
+def test_classify_matches_brute_force_on_random_groups(images):
+    group = closure([Permutation(p) for p in images])
+    # the brute-force stream takes about 0.5 s on a group of order 120
+    assume(group.order <= 60)
+    result = classify(group)
+    stream = list(admissible_triples(group))
+    keys = [c.canonical_key for c in result.classes]
+    assert keys == sorted({canonical_key(t) for t in stream})
+    assert result.admissible_triple_count == len(stream)
+    assert all(c.orbit_size == result.aut_group_size for c in result.classes)
 
 
 # --- canonical keys ------------------------------------------------------------------

@@ -464,3 +464,62 @@ def test_large_group_skips_dense_table():
     assert g.elements[g.mul(i, j)] == gens[0] * gens[1]
     assert g.element_order(i) == 2
     assert len(generated_subgroup(g, [i, j])) == 4
+
+
+def _every_image_tuple(group, gens):
+    """Oracle: every tuple in G^k of images of the generators ``gens`` whose
+    induced map is a bijection that respects the full multiplication
+    table."""
+    n = group.order
+    reached = {0: None}
+    order = [0]
+    for x in order:
+        for k, g in enumerate(gens):
+            y = group.mul(x, g)
+            if y not in reached:
+                reached[y] = (x, k)
+                order.append(y)
+    assert len(order) == n
+    found = set()
+    for imgs in itertools.product(range(n), repeat=len(gens)):
+        m = [0] * n
+        for y in order[1:]:
+            x, k = reached[y]
+            m[y] = group.mul(m[x], imgs[k])
+        if len(set(m)) == n and all(
+                m[group.mul(i, j)] == group.mul(m[i], m[j])
+                for i in range(n) for j in range(n)):
+            found.add(tuple(m))
+    return found
+
+
+@pytest.mark.parametrize("words, degree", [
+    (["(1 2 3)", "(1 2)"], 3),                      # S3
+    (["(1 2)", "(1 2 3 4)"], 4),                    # S4
+    (["(1 2)", "(3 4)", "(5 6)"], 6),               # z2cubed, 3-generated
+])
+def test_automorphism_group_matches_image_tuple_oracle(words, degree):
+    gens = [parse_cycles(w, degree) for w in words]
+    g = closure(gens)
+    auts = automorphism_group(g)
+    expected = _every_image_tuple(g, [g.index_of(p) for p in gens])
+    assert [a.mapping for a in auts] == sorted(expected)
+
+
+@pytest.mark.parametrize("words, degree, aut_order", [
+    (["(1 2)", "(3 4)", "(5 6)"], 6, 168),          # z2cubed: GL(3,2)
+    (["(1 2 3 4 5)", "(1 2 3)"], 5, 120),           # A5: Out = Z2
+    (["(1 2 3 4 5 6 7)", "(1 2)(3 6)"], 7, 336),    # PSL(2,7): Out = Z2
+    (["(1 2)", "(1 2 3 4)", "(5 6)"], 6, 48),       # S4 x Z2
+])
+def test_automorphism_group_orders(words, degree, aut_order):
+    g = closure([parse_cycles(w, degree) for w in words])
+    assert len(automorphism_group(g)) == aut_order
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+def test_closure_cap_env_rejects_non_positive_integers(monkeypatch, value):
+    from linhyp.errors import BadEnvironment
+    monkeypatch.setenv("LHM_MAX_GROUP_ORDER", value)
+    with pytest.raises(BadEnvironment, match="LHM_MAX_GROUP_ORDER"):
+        closure([parse_cycles("(1 2 3)", 3)])
