@@ -13,7 +13,10 @@ Group catalog files (``*.grp``) are UTF-8 text::
 
 Header keys may appear in any order before ``gens:``; every non-comment
 line after ``gens:`` is one permutation in cycle notation at the declared
-base degree.
+base degree.  ``degree`` is a positive decimal integer no larger than the
+closure cap (``LHM_MAX_GROUP_ORDER``, default 200000), checked before any
+generator is parsed, since each generator is built as a list of ``degree``
+images.
 
 Flag-hypermap files (``*.flags``) are::
 
@@ -42,7 +45,7 @@ from .permgroup import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CatalogEntry:
     """One named group: parsed generators plus the built closure."""
 
@@ -96,10 +99,14 @@ def parse_group_file(path: str | Path,
         if key == "name":
             name = value
         elif key == "degree":
-            if not value.isdigit() or int(value) < 1:
+            if not value.isdecimal() or int(value) < 1:
                 raise ParseError(f"bad degree {value!r}",
                                  path=str(path), line=lineno)
-            degree = int(value)
+            degree, cap = int(value), closure_cap()
+            if degree > cap:
+                raise ParseError(
+                    f"degree {degree} exceeds the cap of {cap} "
+                    f"({CLOSURE_CAP_ENV})", path=str(path), line=lineno)
         elif key == "times-z2":
             if value not in ("true", "false"):
                 raise ParseError(f"times-z2 must be true or false, got {value!r}",

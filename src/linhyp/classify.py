@@ -12,6 +12,11 @@ stabiliser of ``r0``, and ``r2`` least in its orbit under the stabiliser of
 admissibility only for the triples that pass all three filters; each
 admissible survivor is one class, met in key order.
 
+Admissibility itself is coded once, in :mod:`linhyp.regular`, as a lazy
+stream of checks, cheapest first; the scan and the brute-force
+``admissible_triples`` oracle each share one memo of pair subgroups and
+product verdicts per group and drop a triple at its first failed check.
+
 ``Aut(G)`` comes from :func:`~linhyp.permgroup.automorphism_group`, which
 matches Cayley codes of generator images and keeps the 2048-element cap.
 The ``jobs`` argument is accepted for compatibility; the scan runs in one
@@ -20,6 +25,7 @@ process and its output never depends on ``jobs``.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -28,7 +34,12 @@ import numpy as np
 
 from .errors import LinhypError
 from .permgroup import FiniteGroup, automorphism_group, involutions
-from .regular import InvolutionTriple, MSequence, RegularLinearHypermap
+from .regular import (
+    InvolutionTriple,
+    MSequence,
+    RegularLinearHypermap,
+    _conditions,
+)
 
 
 def canonical_key(t: InvolutionTriple) -> tuple[int, int, int]:
@@ -38,88 +49,13 @@ def canonical_key(t: InvolutionTriple) -> tuple[int, int, int]:
     return min((a.mapping[r0], a.mapping[r1], a.mapping[r2]) for a in auts)
 
 
-class _TripleScanner:
-    """Shared state for streaming admissible triples of one group."""
-
-    def __init__(self, group: FiniteGroup):
-        self.group = group
-        self.invs = involutions(group)
-        self.full = (1 << group.order) - 1
-        self._pair_bits: dict[tuple[int, int], int] = {}
-        self._pair_members: dict[int, list[int]] = {}
-        self._cond2: dict[tuple[int, int], bool] = {}
-
-    def pair(self, a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        bits = self._pair_bits.get(key)
-        if bits is None:
-            bits = self.group.subgroup_bits(key)
-            self._pair_bits[key] = bits
-        return bits
-
-    def _members(self, bits: int) -> list[int]:
-        out = self._pair_members.get(bits)
-        if out is None:
-            out, b = [], bits
-            while b:
-                low = b & -b
-                out.append(low.bit_length() - 1)
-                b ^= low
-            self._pair_members[bits] = out
-        return out
-
-    def product_condition(self, hbits: int, kbits: int) -> bool:
-        key = (hbits, kbits) if hbits < kbits else (kbits, hbits)
-        ok = self._cond2.get(key)
-        if ok is None:
-            g = self.group
-            hs, ks = self._members(hbits), self._members(kbits)
-            hk = kh = 0
-            if g.has_table:
-                flat, n = g._flat, g.order
-                for x in hs:
-                    base = x * n
-                    for y in ks:
-                        hk |= 1 << flat[base + y]
-                for x in ks:
-                    base = x * n
-                    for y in hs:
-                        kh |= 1 << flat[base + y]
-            else:
-                for x in hs:
-                    for y in ks:
-                        hk |= 1 << g.mul(x, y)
-                for x in ks:
-                    for y in hs:
-                        kh |= 1 << g.mul(x, y)
-            ok = (hk & kh) == (hbits | kbits)
-            self._cond2[key] = ok
-        return ok
-
-    def admissible(self, r0: int, r1: int, r2: int) -> bool:
-        h = self.pair(r1, r2)
-        k = self.pair(r0, r2)
-        return ((h & k) == (1 | 1 << r2)
-                and self.product_condition(h, k)
-                and self.group.subgroup_bits((r0, r1, r2)) == self.full)
-
-    def scan(self) -> Iterator[tuple[int, int, int]]:
-        """Admissible raw index triples, in lexicographic order."""
-        invs = self.invs
-        for r0 in invs:
-            for r1 in invs:
-                if r1 == r0:
-                    continue
-                for r2 in invs:
-                    if r2 != r0 and r2 != r1 and self.admissible(r0, r1, r2):
-                        yield (r0, r1, r2)
-
-
 def admissible_triples(group: FiniteGroup) -> Iterator[InvolutionTriple]:
-    """All ordered involution triples that define a regular linear hypermap."""
-    scanner = _TripleScanner(group)
-    for r0, r1, r2 in scanner.scan():
-        yield InvolutionTriple(group, r0, r1, r2)
+    """All ordered involution triples that define a regular linear hypermap,
+    in lexicographic order: the brute-force oracle for :func:`classify`."""
+    memo: dict = {}
+    for r0, r1, r2 in itertools.permutations(involutions(group), 3):
+        if all(c.passed for c in _conditions(group, r0, r1, r2, memo)):
+            yield InvolutionTriple(group, r0, r1, r2)
 
 
 @dataclass(frozen=True)
@@ -187,11 +123,11 @@ def classify(group: FiniteGroup, group_name: str = "",
     and ignored; the result never depends on it.
     """
     auts = automorphism_group(group)
-    scanner = _TripleScanner(group)
+    memo: dict = {}
     classes = []
     for key in _self_canonical_triples([a.mapping for a in auts],
-                                       scanner.invs):
-        if not scanner.admissible(*key):
+                                       involutions(group)):
+        if not all(c.passed for c in _conditions(group, *key, memo)):
             continue
         hm = RegularLinearHypermap.from_triple(InvolutionTriple(group, *key))
         classes.append(ClassifiedHypermap(

@@ -330,7 +330,7 @@ def _cmd_family(args) -> int:
 
 def _parse_genus_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
-    if not sep or not lo.isdigit() or not hi.isdigit() or int(lo) > int(hi):
+    if not sep or not lo.isdecimal() or not hi.isdecimal() or int(lo) > int(hi):
         raise _UsageError(f"bad --genus-range {text!r}; expected LO:HI")
     return int(lo), int(hi)
 

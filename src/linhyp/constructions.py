@@ -9,6 +9,7 @@ so the test suite can re-derive the table from scratch.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from .errors import BadParameter, NotSimple, SearchFailed, UnknownSolid
@@ -150,15 +151,18 @@ _PLATONIC_TRIPLES: dict[str, tuple[str, str, str]] = {
 }
 
 _group_cache: dict[tuple[int, tuple[str, ...]], FiniteGroup] = {}
+_group_cache_lock = threading.Lock()
 
 
 def _symmetry_group(solid: str) -> FiniteGroup:
+    """The solid's symmetry group, built once and shared by every caller."""
     degree, words = _SYMMETRY_GENERATORS[solid]
     key = (degree, words)
-    if key not in _group_cache:
-        _group_cache[key] = closure(
-            [parse_cycles(w, degree) for w in words])
-    return _group_cache[key]
+    with _group_cache_lock:
+        if key not in _group_cache:
+            _group_cache[key] = closure(
+                [parse_cycles(w, degree) for w in words])
+        return _group_cache[key]
 
 
 @dataclass(frozen=True)

@@ -188,7 +188,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             raise MalformedCycle(f"unclosed cycle in {text!r}")
         points = []
         for tok in s[i + 1:close].replace(",", " ").split():
-            if not tok.isdigit():
+            if not tok.isdecimal():
                 raise MalformedCycle(f"non-numeric token {tok!r} in {text!r}")
             points.append(int(tok))
         for p in points:
@@ -239,6 +239,7 @@ class FiniteGroup:
         self._inverse = array("I", (self._index[e.inverse().images]
                                     for e in self.elements))
         self._orders: list[int | None] = [None] * self.order
+        self._words: list[str | None] = [None] * self.order
         self._aut_cache: tuple[GroupAutomorphism, ...] | None = None
         self._aut_lock = threading.Lock()
 
@@ -343,7 +344,10 @@ class FiniteGroup:
     def word(self, i: int) -> str:
         """Cycle notation of element i."""
         self.check_index(i)
-        return self.elements[i].cycle_string()
+        word = self._words[i]
+        if word is None:
+            word = self._words[i] = self.elements[i].cycle_string()
+        return word
 
     def subgroup_bits(self, seeds: Sequence[int]) -> int:
         """Bitset of the subgroup generated by the seed indices."""
@@ -363,8 +367,34 @@ class FiniteGroup:
                     stack.append(y)
         return bits
 
+    def product_bits(self, a_bits: int, b_bits: int) -> int:
+        """Bitset of all products x*y with x in ``a_bits``, y in ``b_bits``."""
+        xs, ys = _bit_indices(a_bits), _bit_indices(b_bits)
+        bits = 0
+        if self._flat is not None:
+            flat, n = self._flat, self.order
+            for x in xs:
+                base = x * n
+                for y in ys:
+                    bits |= 1 << flat[base + y]
+        else:
+            for x in xs:
+                for y in ys:
+                    bits |= 1 << self.mul(x, y)
+        return bits
+
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, degree={self.degree})"
+
+
+def _bit_indices(bits: int) -> list[int]:
+    """The positions of the set bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 def closure_cap() -> int:
@@ -439,13 +469,7 @@ class ElementSet:
         return bool(self.bits >> i & 1)
 
     def indices(self) -> list[int]:
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return out
+        return _bit_indices(self.bits)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices())
@@ -502,19 +526,7 @@ def subgroup_index(group: FiniteGroup, h: ElementSet) -> int:
 def product_set(a: ElementSet, b: ElementSet) -> ElementSet:
     """The set of all pairwise products {x*y : x in a, y in b}."""
     _require_same_group(a, b)
-    g = a.group
-    bits = 0
-    if g.has_table:
-        flat, n = g._flat, g.order
-        for x in a.indices():
-            base = x * n
-            for y in b.indices():
-                bits |= 1 << flat[base + y]
-    else:
-        for x in a.indices():
-            for y in b.indices():
-                bits |= 1 << g.mul(x, y)
-    return ElementSet(g, bits)
+    return ElementSet(a.group, a.group.product_bits(a.bits, b.bits))
 
 
 def conjugate_set(group: FiniteGroup, s: ElementSet, g: int) -> ElementSet:

@@ -6,12 +6,22 @@ becomes index arithmetic: the triple (r0, r1, r2) determines vertex,
 hyperedge and hyperface stabilizers H = <r1,r2>, K = <r0,r2>, L = <r0,r1>,
 and the whole invariant vector of the hypermap follows from subgroup sizes
 and element orders.
+
+Admissibility is coded once, in ``_conditions``: the two subgroup
+conditions ``H & K = <r2>`` and ``HK & KH = H | K``, then generation of
+the whole group.  It yields the checks cheapest first, because the
+subgroup conditions need only the two pair subgroups, which a caller
+checking many triples of one group shares through its memo, while
+generation is a closure over the whole group.  ``validate_regular`` runs
+it to the end; ``classify`` and ``admissible_triples`` stop at the first
+failure.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import (
     DichotomyViolated,
@@ -31,7 +41,6 @@ from .permgroup import (
     generated_subgroup,
     normal_core,
     parse_cycles,
-    product_set,
 )
 from .report import CheckResult, ValidationReport
 
@@ -111,35 +120,61 @@ class CoreType(enum.Enum):
     CENTRAL_R2 = "central-r2"
 
 
+def _least_word(group: FiniteGroup, bits: int) -> str:
+    """Cycle notation of the least element in a nonempty bitset."""
+    return group.word((bits & -bits).bit_length() - 1)
+
+
+def _conditions(group: FiniteGroup, r0: int, r1: int, r2: int,
+                memo: dict) -> Iterator[CheckResult]:
+    """The admissibility checks of ``(r0, r1, r2)``, cheapest first.
+
+    ``memo`` is owned by the caller and shared across triples of one
+    group: it keeps each pair subgroup under its sorted index pair and,
+    under ``("HK", H, K)`` for the sorted bitset pair, the elements of
+    ``HK & KH`` outside ``H | K``.  A failed check names the least such
+    element in its detail.
+    """
+    h = _pair_bits(group, r1, r2, memo)
+    k = _pair_bits(group, r0, r2, memo)
+    meet, cyclic = h & k, 1 | 1 << r2
+    yield CheckResult(
+        "stabilizer-intersection", meet == cyclic,
+        "" if meet == cyclic else
+        f"<r1,r2> meets <r0,r2> in {meet.bit_count()} elements; least "
+        f"outside <r2>: {_least_word(group, meet & ~cyclic)}")
+
+    key = ("HK", h, k) if h < k else ("HK", k, h)
+    extra = memo.get(key)
+    if extra is None:
+        both = group.product_bits(h, k) & group.product_bits(k, h)
+        extra = memo[key] = both & ~(h | k)
+    yield CheckResult(
+        "product-intersection", not extra,
+        "" if not extra else
+        "HK and KH overlap beyond H union K; least outside H union K: "
+        + _least_word(group, extra))
+
+    span = group.subgroup_bits((r0, r1, r2)).bit_count()
+    yield CheckResult(
+        "generates", span == group.order,
+        "" if span == group.order else
+        f"triple generates a subgroup of order {span} < {group.order}")
+
+
+def _pair_bits(group: FiniteGroup, a: int, b: int, memo: dict) -> int:
+    key = (a, b) if a < b else (b, a)
+    bits = memo.get(key)
+    if bits is None:
+        bits = memo[key] = group.subgroup_bits(key)
+    return bits
+
+
 def validate_regular(t: InvolutionTriple) -> ValidationReport:
     """Generation plus the two subgroup conditions, as report entries."""
-    g = t.group
-    checks: list[CheckResult] = []
-
-    span = g.subgroup_bits(list(t.indices))
-    generates = span.bit_count() == g.order
-    checks.append(CheckResult(
-        "generates", generates,
-        "" if generates else
-        f"triple generates a subgroup of order {span.bit_count()} < {g.order}"))
-
-    h = generated_subgroup(g, [t.r1, t.r2])
-    k = generated_subgroup(g, [t.r0, t.r2])
-    expected = 1 | 1 << t.r2
-    cond1 = (h.bits & k.bits) == expected
-    checks.append(CheckResult(
-        "stabilizer-intersection", cond1,
-        "" if cond1 else
-        f"<r1,r2> meets <r0,r2> in {(h.bits & k.bits).bit_count()} elements"))
-
-    hk = product_set(h, k).bits
-    kh = product_set(k, h).bits
-    cond2 = (hk & kh) == (h.bits | k.bits)
-    checks.append(CheckResult(
-        "product-intersection", cond2,
-        "" if cond2 else "HK and KH overlap beyond H union K"))
-
-    return ValidationReport(tuple(checks))
+    checks = {c.name: c for c in _conditions(t.group, *t.indices, {})}
+    return ValidationReport(tuple(checks[name] for name in (
+        "generates", "stabilizer-intersection", "product-intersection")))
 
 
 @dataclass(frozen=True)

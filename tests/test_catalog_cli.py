@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -52,6 +53,35 @@ def test_duplicate_names_rejected(tmp_path):
     (tmp_path / "b.grp").write_text(text, encoding="utf-8")
     with pytest.raises(DuplicateName):
         load_catalog([tmp_path])
+
+
+@pytest.mark.parametrize("degree", ["0", "\u00b2", "99999999999"])
+def test_degree_checked_before_allocation(tmp_path, capsys, degree):
+    bad = tmp_path / "huge.grp"
+    bad.write_text(f"name: huge\ndegree: {degree}\ngens:\n(1 2)\n",
+                   encoding="utf-8")
+    with pytest.raises(ParseError, match="degree"):
+        parse_group_file(bad)
+    assert main(["classify", "--group", str(bad)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "degree" in err[0]
+
+
+def test_degree_above_closure_cap_names_the_variable(tmp_path, monkeypatch):
+    path = tmp_path / "s4.grp"
+    path.write_text("name: s4\ndegree: 4\ngens:\n(1 2)\n(1 2 3 4)\n",
+                    encoding="utf-8")
+    monkeypatch.setenv("LHM_MAX_GROUP_ORDER", "3")
+    with pytest.raises(ParseError, match="LHM_MAX_GROUP_ORDER"):
+        parse_group_file(path)
+    monkeypatch.setenv("LHM_MAX_GROUP_ORDER", "24")
+    assert parse_group_file(path).group.order == 24
+
+
+def test_catalog_entry_is_frozen(data_dir):
+    entry = parse_group_file(data_dir / "s4.grp")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        entry.name = "other"
 
 
 def test_times_z2_adjoins_central_involution(tmp_path):
@@ -319,6 +349,29 @@ def test_cli_csv_is_a_usage_error_outside_classify(data_dir, capsys, argv):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "usage error: --format csv is only available for classify"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--group", "BAD"],
+    ["invariants", "--group", "DATA/s4.grp",
+     "--triple", "(1 \u00b2);(1 2);(2 3)"],
+])
+def test_cli_non_decimal_cycle_token_exit_1(data_dir, tmp_path, capsys, argv):
+    bad = tmp_path / "bad.grp"
+    bad.write_text("name: bad\ndegree: 4\ngens:\n(1 \u00b2)\n",
+                   encoding="utf-8")
+    argv = [a.replace("DATA", str(data_dir)).replace("BAD", str(bad))
+            for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "non-numeric token" in err[0]
+
+
+def test_cli_non_decimal_genus_range_exit_64(data_dir, capsys):
+    argv = ["census", "--catalog", str(data_dir), "--genus-range", "\u00b2:3"]
+    assert main(argv) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "--genus-range" in err[0]
 
 
 @pytest.mark.parametrize("value", ["abc", "0"])

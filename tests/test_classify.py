@@ -15,6 +15,7 @@ from linhyp.classify import (
     genus_upper_bound,
 )
 from linhyp.errors import GroupTooLargeForAut
+from linhyp.hypermap import FlagHypermap, validate_hypermap
 from linhyp.permgroup import (
     Permutation,
     automorphism_group,
@@ -22,7 +23,11 @@ from linhyp.permgroup import (
     involutions,
     parse_cycles,
 )
-from linhyp.regular import InvolutionTriple, triple_from_words
+from linhyp.regular import (
+    InvolutionTriple,
+    triple_from_words,
+    validate_regular,
+)
 
 S4_ADMISSIBLE_COUNT = 96  # frozen output of the brute-force oracle below
 
@@ -210,6 +215,30 @@ def test_classify_matches_brute_force_on_random_groups(images):
     assert keys == sorted({canonical_key(t) for t in stream})
     assert result.admissible_triple_count == len(stream)
     assert all(c.orbit_size == result.aut_group_size for c in result.classes)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_generators, st.data())
+def test_validate_regular_matches_flag_validator_on_random_groups(images,
+                                                                  data):
+    group = closure([Permutation(p) for p in images])
+    invs = involutions(group)
+    assume(len(invs) >= 3)
+    t = InvolutionTriple(group, *data.draw(
+        st.lists(st.sampled_from(invs), min_size=3, max_size=3, unique=True)))
+    report = validate_regular(t)
+    order = ["generates", "stabilizer-intersection", "product-intersection"]
+    assert [c.name for c in report.checks] == order
+    flags = FlagHypermap(*(
+        Permutation([group.mul(x, r) for x in range(group.order)])
+        for r in t.indices))
+    flag_report = validate_hypermap(flags)
+    assert flag_report.check("transitive").passed == report.check(
+        "generates").passed
+    for name in order[1:]:
+        assert flag_report.check(name).passed == report.check(name).passed
+    assert report.failed_names() == [
+        name for name in order if not report.check(name).passed]
 
 
 # --- canonical keys ------------------------------------------------------------------

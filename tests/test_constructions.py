@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
+from linhyp import constructions
 from linhyp.constructions import (
     PLATONIC_SCHLAFLI,
     _PLATONIC_TRIPLES,
@@ -88,6 +92,30 @@ def test_platonic_schlafli_and_group_orders():
         assert g.element_order(g.mul(t.r1, t.r2)) == q
         assert g.element_order(g.mul(t.r0, t.r2)) == 2
         assert g.subgroup_bits(t.indices).bit_count() == g.order
+
+
+def test_concurrent_platonic_maps_share_one_group(monkeypatch):
+    monkeypatch.setattr(constructions, "_group_cache", {})
+    barrier = threading.Barrier(8, timeout=30)
+    groups = []
+
+    def build():
+        barrier.wait()
+        groups.append(platonic_map("cube").group)
+
+    threads = [threading.Thread(target=build) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(groups) == 8
+    assert all(g is groups[0] for g in groups)
 
 
 def test_unknown_solid():

@@ -466,6 +466,14 @@ def test_large_group_skips_dense_table():
     assert len(generated_subgroup(g, [i, j])) == 4
 
 
+def test_product_bits_without_table_matches_table(a5xz2, monkeypatch):
+    sets = [sum(1 << i for i in range(a, a + 30, 7)) for a in range(0, 90, 11)]
+    expected = [a5xz2.product_bits(x, y) for x in sets for y in sets]
+    monkeypatch.setattr(a5xz2, "_flat", None)
+    assert not a5xz2.has_table
+    assert [a5xz2.product_bits(x, y) for x in sets for y in sets] == expected
+
+
 def _every_image_tuple(group, gens):
     """Oracle: every tuple in G^k of images of the generators ``gens`` whose
     induced map is a bijection that respects the full multiplication

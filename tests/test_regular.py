@@ -10,7 +10,12 @@ from linhyp.errors import (
     ParseError,
 )
 from linhyp.hypermap import extract_cells, surface_invariant
-from linhyp.permgroup import closure, generated_subgroup, parse_cycles
+from linhyp.permgroup import (
+    closure,
+    generated_subgroup,
+    parse_cycles,
+    product_set,
+)
 from linhyp.regular import (
     CoreType,
     InvolutionTriple,
@@ -73,6 +78,36 @@ def test_elementary_abelian_fails_product_condition():
     report = validate_regular(t)
     assert report.check("stabilizer-intersection").passed
     assert not report.check("product-intersection").passed
+
+
+def _witness(group, detail):
+    """The element named after the last colon of a failure detail."""
+    return group.index_of(parse_cycles(detail.rsplit(":", 1)[1], group.degree))
+
+
+def test_product_failure_names_an_element_of_hk_kh_outside_h_union_k():
+    g = closure([parse_cycles(w, 6) for w in ["(1 2)", "(3 4)", "(5 6)"]])
+    t = triple_from_words(g, "(1 2);(3 4);(5 6)")
+    check = validate_regular(t).check("product-intersection")
+    assert not check.passed
+    x = _witness(g, check.detail)
+    h = generated_subgroup(g, [t.r1, t.r2])
+    k = generated_subgroup(g, [t.r0, t.r2])
+    assert x in product_set(h, k) and x in product_set(k, h)
+    assert x not in h.union(k)
+
+
+def test_stabilizer_failure_names_an_element_of_h_k_outside_r2(s4):
+    # r0 and r1 both lie in the Klein group <(1 2), (3 4)> around r2
+    t = triple_from_words(s4, "(3 4);(1 2);(1 2)(3 4)")
+    report = validate_regular(t)
+    check = report.check("stabilizer-intersection")
+    assert not check.passed
+    x = _witness(s4, check.detail)
+    h = generated_subgroup(s4, [t.r1, t.r2])
+    k = generated_subgroup(s4, [t.r0, t.r2])
+    assert x in h.intersection(k) and x not in (0, t.r2)
+    assert report.failed_names() == ["generates", "stabilizer-intersection"]
 
 
 def test_non_generating_triple_fails(a5xz2):
