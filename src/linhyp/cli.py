@@ -25,7 +25,6 @@ from pathlib import Path
 
 from . import __version__
 from .catalog import (
-    CatalogEntry,
     file_sha256,
     load_catalog,
     load_flag_hypermap,
@@ -41,7 +40,7 @@ from .classify import (
 from .constructions import PLATONIC_SCHLAFLI, FamilySpec, digon, medial
 from .errors import BadEnvironment, InternalCheckFailed, LinhypError
 from .hypermap import extract_cells, surface_invariant, validate_hypermap
-from .regular import RegularLinearHypermap, triple_from_words
+from .regular import MSequence, RegularLinearHypermap, triple_from_words
 
 USAGE_EXIT = 64
 
@@ -72,10 +71,9 @@ def _manifest(inputs: dict[str, str], filters: dict | None,
     return out
 
 
-def _hypermap_dict(m: RegularLinearHypermap, extra: dict | None = None) -> dict:
-    ms = m.m_sequence()
+def _hypermap_dict(m: RegularLinearHypermap, ms: MSequence, **extra) -> dict:
     words = m.triple.words()
-    out = {
+    return {
         "r0": words[0],
         "r1": words[1],
         "r2": words[2],
@@ -88,19 +86,15 @@ def _hypermap_dict(m: RegularLinearHypermap, extra: dict | None = None) -> dict:
         "flags": ms.flags,
         "orientable": ms.orientable,
         "proper": ms.proper,
-    }
-    if extra:
-        out.update(extra)
-    return out
+    } | extra
 
 
 def _classification_dict(result: ClassificationResult, manifest: dict) -> dict:
     classes = []
     for i, cls in enumerate(result.classes):
-        classes.append({"index": i} | _hypermap_dict(cls.hypermap, extra={
-            "canonical_key": list(cls.canonical_key),
-            "orbit_size": cls.orbit_size,
-        }))
+        classes.append({"index": i} | _hypermap_dict(
+            cls.hypermap, cls.m_seq,
+            canonical_key=list(cls.canonical_key), orbit_size=cls.orbit_size))
     return {
         "group": result.group_name,
         "group_order": result.group.order,
@@ -201,7 +195,7 @@ def _single_hypermap_output(args, m: RegularLinearHypermap,
                             heading: str) -> None:
     ms = m.m_sequence()
     manifest = _manifest(inputs, None, started)
-    payload = {"hypermap": _hypermap_dict(m), "manifest": manifest}
+    payload = {"hypermap": _hypermap_dict(m, ms), "manifest": manifest}
     core = m.core_dichotomy()
     table = (
         f"{ms}\n"
@@ -215,13 +209,9 @@ def _single_hypermap_output(args, m: RegularLinearHypermap,
 # --- subcommand handlers -----------------------------------------------------
 
 
-def _load_group_arg(path: str) -> CatalogEntry:
-    return parse_group_file(path)
-
-
 def _cmd_classify(args) -> int:
     started = time.perf_counter()
-    entry = _load_group_arg(args.group)
+    entry = parse_group_file(args.group)
     result = classify(entry.group, entry.name, jobs=args.jobs)
     manifest = _manifest({entry.source_path: file_sha256(entry.source_path)},
                          None, started)
@@ -230,25 +220,19 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_triple(args) -> int:
+    """``invariants`` and ``dual``: one checked triple, or its dual."""
     started = time.perf_counter()
-    entry = _load_group_arg(args.group)
-    triple = triple_from_words(entry.group, args.triple)
-    m = RegularLinearHypermap.from_triple(triple)
+    entry = parse_group_file(args.group)
+    m = RegularLinearHypermap.from_triple(
+        triple_from_words(entry.group, args.triple))
+    if args.command == "dual":
+        m, heading = m.dual(), f"dual hypermap on {entry.name}"
+    else:
+        heading = f"group {entry.name} (order {entry.group.order})"
     _single_hypermap_output(
         args, m, {entry.source_path: file_sha256(entry.source_path)},
-        started, f"group {entry.name} (order {entry.group.order})")
-    return 0
-
-
-def _cmd_dual(args) -> int:
-    started = time.perf_counter()
-    entry = _load_group_arg(args.group)
-    triple = triple_from_words(entry.group, args.triple)
-    m = RegularLinearHypermap.from_triple(triple).dual()
-    _single_hypermap_output(
-        args, m, {entry.source_path: file_sha256(entry.source_path)},
-        started, f"dual hypermap on {entry.name}")
+        started, heading)
     return 0
 
 
@@ -399,13 +383,13 @@ def build_parser() -> _Parser:
     p.add_argument("--triple", required=True,
                    help="three cycle words separated by ';'")
     add_common(p)
-    p.set_defaults(handler=_cmd_invariants)
+    p.set_defaults(handler=_cmd_triple)
 
     p = sub.add_parser("dual", help="invariants of the dual hypermap")
     p.add_argument("--group", required=True)
     p.add_argument("--triple", required=True)
     add_common(p)
-    p.set_defaults(handler=_cmd_dual)
+    p.set_defaults(handler=_cmd_triple)
 
     p = sub.add_parser("validate-flags",
                        help="validate a flag-hypermap file")

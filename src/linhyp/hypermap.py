@@ -11,6 +11,7 @@ underlying hypergraph to be linear.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -109,22 +110,24 @@ class LinearHypergraph:
                 raise ValueError(f"hyperedge {sorted(edge)} uses unknown vertices")
 
     def linearity_violations(self) -> list[tuple[int, int]]:
-        """Vertex pairs contained in two or more hyperedges."""
-        out = []
-        for u, v in combinations(sorted(self.vertex_ids), 2):
-            hits = sum(1 for e in self.hyperedges if u in e and v in e)
-            if hits > 1:
-                out.append((u, v))
-        return out
+        """Vertex pairs contained in two or more hyperedges, sorted.
+
+        Counts the pairs inside each hyperedge, O(sum of |e|^2), instead of
+        testing every vertex pair against every hyperedge.
+        """
+        pairs = Counter(pair for e in self.hyperedges
+                        for pair in combinations(sorted(e), 2))
+        return sorted(pair for pair, hits in pairs.items() if hits > 1)
 
     def is_linear(self) -> bool:
         return not self.linearity_violations()
 
     def vertex_degrees(self) -> dict[int, int]:
-        return {
-            v: sum(1 for e in self.hyperedges if v in e)
-            for v in self.vertex_ids
-        }
+        degrees = dict.fromkeys(self.vertex_ids, 0)
+        for e in self.hyperedges:
+            for v in e:
+                degrees[v] += 1
+        return degrees
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,7 @@ class FiniteGroup:
             raise ValueError("identity missing from element set")
         self.degree = degree
         self.elements: tuple[Permutation, ...] = tuple(elems)
+        self.order = len(elems)
         self._index: dict[tuple[int, ...], int] = {
             e.images: i for i, e in enumerate(self.elements)
         }
@@ -253,10 +254,6 @@ class FiniteGroup:
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._aut_lock = threading.Lock()
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     @property
     def has_table(self) -> bool:
@@ -656,14 +653,35 @@ def automorphism_group(group: FiniteGroup,
     This needs the dense multiplication table, which every group within
     the default cap has.  The result list is frozen on the group, so
     concurrent callers compute it at most once.
+
+    ``max_order`` also bounds the stored mappings: ``|Aut| * |G|`` entries
+    may not exceed ``max_order**2``, the size of the largest table the cap
+    allows, so a small group with a huge ``Aut`` (like ``Z2^5``, whose
+    ``Aut`` is ``GL(5,2)`` of order about 10^7) raises instead of filling
+    memory.
     """
     if group.order > max_order:
         raise GroupTooLargeForAut(
             f"|G| = {group.order} exceeds the automorphism cap {max_order}")
     with group._aut_lock:
         if group._aut_cache is None:
-            group._aut_cache = tuple(_compute_automorphisms(group))
+            group._aut_cache = tuple(_compute_automorphisms(group, max_order))
+    if len(group._aut_cache) > _aut_limit(group, max_order):
+        raise _too_many_automorphisms(group, max_order)
     return list(group._aut_cache)
+
+
+def _aut_limit(group: FiniteGroup, max_order: int) -> int:
+    """The most automorphisms whose mappings fit in ``max_order**2`` entries."""
+    return max_order * max_order // group.order
+
+
+def _too_many_automorphisms(group: FiniteGroup,
+                            max_order: int) -> GroupTooLargeForAut:
+    return GroupTooLargeForAut(
+        f"|Aut(G)| exceeds {_aut_limit(group, max_order)} for |G| = "
+        f"{group.order}: its mappings would take more than {max_order}^2 "
+        "entries, the automorphism cap")
 
 
 def _label_classes(group: FiniteGroup) -> list[list[int]]:
@@ -745,8 +763,12 @@ def _match_code(flat: array, n: int, code: list[int],
     return order
 
 
-def _compute_automorphisms(group: FiniteGroup) -> list[GroupAutomorphism]:
+def _compute_automorphisms(group: FiniteGroup,
+                           max_order: int) -> list[GroupAutomorphism]:
+    """Every automorphism; raises as soon as they outgrow ``max_order**2``
+    mapping entries."""
     n = group.order
+    limit = _aut_limit(group, max_order)
     if n == 1:
         return [GroupAutomorphism(group, (0,))]
     classes = _label_classes(group)
@@ -767,5 +789,7 @@ def _compute_automorphisms(group: FiniteGroup) -> list[GroupAutomorphism]:
             for e, y in zip(elems, order):
                 mapping[e] = y
             results.append(tuple(mapping))
+            if len(results) > limit:
+                raise _too_many_automorphisms(group, max_order)
     results.sort()
     return [GroupAutomorphism(group, m) for m in results]

@@ -193,6 +193,12 @@ class RegularLinearHypermap:
             raise InvalidHypermap(
                 "triple is not a regular linear hypermap: "
                 + ", ".join(report.failed_names()))
+        return cls._of(t)
+
+    @classmethod
+    def _of(cls, t: InvolutionTriple) -> RegularLinearHypermap:
+        """The hypermap of a triple already known to be admissible: the one
+        place that builds the stabilizers, and it does not check."""
         g = t.group
         return cls(
             triple=t,
@@ -260,9 +266,17 @@ def _orientable(m: RegularLinearHypermap) -> bool:
 
 
 def dual(m: RegularLinearHypermap) -> RegularLinearHypermap:
-    """Swap the roles of vertices and hyperedges: (r0, r1, r2) -> (r1, r0, r2)."""
+    """Swap the roles of vertices and hyperedges: (r0, r1, r2) -> (r1, r0, r2).
+
+    The swap exchanges H = <r1,r2> and K = <r0,r2>.  Both subgroup
+    conditions, H & K = <r2> and HK & KH = H | K, are symmetric in H and K,
+    and the swapped triple generates the same group, so the dual of an
+    admissible triple is admissible and is not checked again.  This trusts
+    ``m`` to have been built by ``from_triple``, ``classify`` or
+    :mod:`linhyp.constructions`, which all check admissibility.
+    """
     t = m.triple
-    return RegularLinearHypermap.from_triple(
+    return RegularLinearHypermap._of(
         InvolutionTriple(t.group, t.r1, t.r0, t.r2))
 
 

@@ -55,6 +55,21 @@ def test_duplicate_names_rejected(tmp_path):
         load_catalog([tmp_path])
 
 
+def test_cli_computes_each_m_sequence_once(monkeypatch, capsys, data_dir):
+    import linhyp.regular as regular
+    calls = []
+    original = regular.m_sequence
+    monkeypatch.setattr(regular, "m_sequence",
+                        lambda m: calls.append(m) or original(m))
+    assert main(["classify", "--group", str(data_dir / "s4xz2.grp"),
+                 "--format", "json"]) == 0
+    assert len(calls) == json.loads(capsys.readouterr().out)["class_count"]
+    calls.clear()
+    assert main(["dual", "--group", str(data_dir / "a5xz2.grp"), "--triple",
+                 "(1 2)(3 5);(1 2)(3 4)(6 7);(1 4)(2 3)"]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("degree", ["0", "\u00b2", "99999999999"])
 def test_degree_checked_before_allocation(tmp_path, capsys, degree):
     bad = tmp_path / "huge.grp"

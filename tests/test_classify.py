@@ -25,6 +25,7 @@ from linhyp.permgroup import (
 )
 from linhyp.regular import (
     InvolutionTriple,
+    RegularLinearHypermap,
     triple_from_words,
     validate_regular,
 )
@@ -239,6 +240,37 @@ def test_validate_regular_matches_flag_validator_on_random_groups(images,
         assert flag_report.check(name).passed == report.check(name).passed
     assert report.failed_names() == [
         name for name in order if not report.check(name).passed]
+
+
+def test_classify_and_dual_build_hypermaps_without_validating_again(
+        monkeypatch, a5xz2):
+    import linhyp.regular as regular
+    calls = []
+    original = regular.validate_regular
+    monkeypatch.setattr(regular, "validate_regular",
+                        lambda t: calls.append(t) or original(t))
+    result = classify(a5xz2, "a5xz2")
+    duals = [c.hypermap.dual() for c in result.classes]
+    assert calls == []
+    assert RegularLinearHypermap.from_triple(duals[0].triple) == duals[0]
+    assert calls == [duals[0].triple]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_generators, st.data())
+def test_dual_equals_checked_swapped_triple_on_random_groups(images, data):
+    group = closure([Permutation(p) for p in images])
+    # Aut(S6) alone takes about 1 s; order <= 120 keeps this under 2 s
+    assume(group.order <= 120)
+    result = classify(group)
+    assume(result.classes)
+    # an automorphism image of a class key is a random admissible triple
+    key = data.draw(st.sampled_from(result.classes)).canonical_key
+    a = data.draw(st.sampled_from(automorphism_group(group)))
+    r0, r1, r2 = (a.mapping[i] for i in key)
+    m = RegularLinearHypermap.from_triple(InvolutionTriple(group, r0, r1, r2))
+    assert m.dual() == RegularLinearHypermap.from_triple(
+        InvolutionTriple(group, r1, r0, r2))
 
 
 # --- canonical keys ------------------------------------------------------------------

@@ -280,6 +280,19 @@ def test_non_linear_hypergraph_reported():
     assert hg.linearity_violations() == [(1, 2), (2, 3)]
 
 
+def test_linearity_violations_match_pairwise_definition():
+    ids = (20, 3, 9, 7, 15)
+    edges = (frozenset({20, 3, 9}), frozenset({9, 3, 7}),
+             frozenset({20, 9, 15}), frozenset({3, 20}))
+    hg = LinearHypergraph(ids, edges)
+    pairwise = [(u, v) for u, v in itertools.combinations(sorted(ids), 2)
+                if sum(u in e and v in e for e in edges) > 1]
+    assert pairwise == [(3, 9), (3, 20), (9, 20)]
+    assert hg.linearity_violations() == pairwise
+    assert hg.vertex_degrees() == {v: sum(v in e for e in edges) for v in ids}
+    assert list(hg.vertex_degrees()) == list(ids)
+
+
 def test_hypergraph_rejects_unknown_vertices():
     with pytest.raises(ValueError):
         LinearHypergraph((1, 2), (frozenset({1, 3}),))

@@ -433,6 +433,26 @@ def test_automorphism_cap():
         automorphism_group(g, max_order=5)
 
 
+def _elementary_abelian(rank):
+    degree = 2 * rank
+    return closure([parse_cycles(f"({2 * i + 1} {2 * i + 2})", degree)
+                    for i in range(rank)])
+
+
+def test_automorphism_cap_bounds_the_stored_mappings():
+    # Aut(Z2^5) = GL(5,2) has 9999360 elements; 64^2 entries hold only
+    # 4096 / 32 = 128 mappings, so the enumeration stops at the 129th
+    with pytest.raises(GroupTooLargeForAut, match="128"):
+        automorphism_group(_elementary_abelian(5), max_order=64)
+
+
+def test_automorphism_cap_applies_to_a_cached_list():
+    g = _elementary_abelian(4)
+    assert len(automorphism_group(g)) == 20160      # GL(4,2)
+    with pytest.raises(GroupTooLargeForAut):
+        automorphism_group(g, max_order=256)        # 256^2 / 16 = 4096
+
+
 def test_minimal_generating_sequence_generates(s4, a5xz2):
     for g in (s4, a5xz2):
         gens = minimal_generating_sequence(g)
