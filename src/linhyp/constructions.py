@@ -9,6 +9,7 @@ so the test suite can re-derive the table from scratch.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 
@@ -202,28 +203,23 @@ def simple_graph_check(t: RegularMapTriple) -> bool:
     return h.bits & conj.bits == pair
 
 
+def _is_simple_platonic(t: RegularMapTriple) -> bool:
+    """|r0 r1| = p, |r0 r2| = 2, |r1 r2| = q, generation and a simple
+    underlying graph, cheapest first."""
+    g, (p, q) = t.group, t.schlafli
+    return (g.element_order(g.mul(t.r0, t.r1)) == p
+            and g.element_order(g.mul(t.r0, t.r2)) == 2
+            and g.element_order(g.mul(t.r1, t.r2)) == q
+            and g.subgroup_bits(t.indices).bit_count() == g.order
+            and simple_graph_check(t))
+
+
 def search_platonic_triple(group: FiniteGroup, p: int, q: int
                            ) -> tuple[int, int, int] | None:
     """First involution triple (lex order) realizing a simple {p, q} map."""
-    invs = involutions(group)
-    full = (1 << group.order) - 1
-    for r0 in invs:
-        for r1 in invs:
-            if r1 == r0 or group.element_order(group.mul(r0, r1)) != p:
-                continue
-            for r2 in invs:
-                if r2 == r0 or r2 == r1:
-                    continue
-                if group.mul(group.mul(r0, r2), group.mul(r0, r2)) != 0:
-                    continue
-                if group.element_order(group.mul(r1, r2)) != q:
-                    continue
-                if group.subgroup_bits((r0, r1, r2)) != full:
-                    continue
-                cand = RegularMapTriple(group, r0, r1, r2, (p, q))
-                if simple_graph_check(cand):
-                    return (r0, r1, r2)
-    return None
+    return next((c for c in itertools.permutations(involutions(group), 3)
+                 if _is_simple_platonic(RegularMapTriple(group, *c, (p, q)))),
+                None)
 
 
 def platonic_map(solid: str) -> RegularMapTriple:
@@ -232,17 +228,11 @@ def platonic_map(solid: str) -> RegularMapTriple:
     if solid not in PLATONIC_SCHLAFLI:
         raise UnknownSolid(
             f"{solid!r}; expected one of {sorted(PLATONIC_SCHLAFLI)}")
-    p, q = PLATONIC_SCHLAFLI[solid]
     group = _symmetry_group(solid)
-    words = _PLATONIC_TRIPLES[solid]
     r0, r1, r2 = (group.index_of(parse_cycles(w, group.degree))
-                  for w in words)
-    t = RegularMapTriple(group, r0, r1, r2, (p, q))
-    if (group.element_order(group.mul(r0, r1)) != p
-            or group.element_order(group.mul(r1, r2)) != q
-            or group.element_order(group.mul(r0, r2)) != 2
-            or group.subgroup_bits((r0, r1, r2)) != (1 << group.order) - 1
-            or not simple_graph_check(t)):
+                  for w in _PLATONIC_TRIPLES[solid])
+    t = RegularMapTriple(group, r0, r1, r2, PLATONIC_SCHLAFLI[solid])
+    if not _is_simple_platonic(t):
         raise SearchFailed(
             f"pinned triple for {solid} fails verification; "
             "the group realization is wrong")

@@ -63,7 +63,7 @@ class FlagHypermap:
         report = self.validate()
         if not report.ok:
             raise InvalidHypermap(
-                "hypermap failed validation: " + ", ".join(report.failed_names()))
+                "hypermap failed validation: " + report.failed_summary())
 
     def __repr__(self) -> str:
         return f"FlagHypermap(flags={self.flag_count})"

@@ -615,26 +615,46 @@ def minimal_generating_sequence(group: FiniteGroup) -> list[int]:
     return chosen
 
 
+def _cayley_walk(flat: array, n: int, gens: Sequence[int],
+                 code: Sequence[int] | None = None
+                 ) -> tuple[list[int], list[int]] | None:
+    """Walk from the identity over right multiplication by ``gens``.
+
+    Returns ``(order, code)``: the elements in walk order, and the walk
+    position of each ``order[p] * gens[j]`` in turn (step ``p*k + j``), the
+    tuple's Cayley code.  Given a target ``code``, returns None at the first
+    step that departs from it.
+    """
+    order = [0]
+    position = [-1] * n
+    position[0] = 0
+    walk: list[int] = []
+    for x in order:
+        base = x * n
+        for h in gens:
+            z = flat[base + h]
+            q = position[z]
+            if q < 0:
+                q = position[z] = len(order)
+                order.append(z)
+            if code is not None and code[len(walk)] != q:
+                return None
+            walk.append(q)
+    return order, walk
+
+
 def _bfs_subgroup(group: FiniteGroup, gens: Sequence[int]):
-    """Subgroup elements in BFS order plus parent definitions.
+    """Subgroup elements in walk order plus parent definitions.
 
     Returns ``(elems, defs)`` where each non-identity element e in ``elems``
     was first reached as ``defs[e] = (parent, k)`` meaning e = parent*gens[k].
     """
-    elems = [0]
+    elems, code = _cayley_walk(group._flat, group.order, gens)
+    k = len(gens)
     defs: dict[int, tuple[int, int]] = {}
-    seen = 1
-    queue = deque([0])
-    mul = group.mul
-    while queue:
-        x = queue.popleft()
-        for k, g in enumerate(gens):
-            y = mul(x, g)
-            if not seen >> y & 1:
-                seen |= 1 << y
-                defs[y] = (x, k)
-                elems.append(y)
-                queue.append(y)
+    for c, q in enumerate(code):
+        if q == len(defs) + 1:
+            defs[elems[q]] = (elems[c // k], c % k)
     return elems, defs
 
 
@@ -643,11 +663,11 @@ def automorphism_group(group: FiniteGroup,
                        ) -> list[GroupAutomorphism]:
     """The complete automorphism group, sorted by mapping.
 
-    Fixes a short generating tuple (g1..gk) and relabels the group by BFS
-    from the identity over right multiplication by the gi; the labelled
-    multiplication by the gi is the tuple's Cayley code.  An image tuple
-    (h1..hk) extends to an automorphism exactly when its own BFS gives the
-    same code (Conder & Dobcsanyi, JCTB 81, 2001).  Each hi is drawn from
+    Fixes a short generating tuple (g1..gk); one walk from the identity
+    over right multiplication by the gi gives the walk order and the
+    tuple's Cayley code.  An image tuple (h1..hk) extends to an automorphism
+    exactly when its own walk gives the same code (Conder & Dobcsanyi,
+    JCTB 81, 2001).  Each hi is drawn from
     the elements sharing gi's automorphism-invariant label (element order,
     centraliser size) and a candidate is dropped at its first mismatch.
     This needs the dense multiplication table, which every group within
@@ -656,9 +676,9 @@ def automorphism_group(group: FiniteGroup,
 
     ``max_order`` also bounds the stored mappings: ``|Aut| * |G|`` entries
     may not exceed ``max_order**2``, the size of the largest table the cap
-    allows, so a small group with a huge ``Aut`` (like ``Z2^5``, whose
-    ``Aut`` is ``GL(5,2)`` of order about 10^7) raises instead of filling
-    memory.
+    allows, so a small group with a huge ``Aut`` raises instead of filling
+    memory.  An elementary abelian group (like ``Z2^5``, whose ``Aut`` is
+    ``GL(5,2)`` of order about 10^7) is refused before any enumeration.
     """
     if group.order > max_order:
         raise GroupTooLargeForAut(
@@ -738,55 +758,35 @@ def _generating_tuple(group: FiniteGroup,
     return minimal_generating_sequence(group)
 
 
-def _match_code(flat: array, n: int, code: list[int],
-                images: Sequence[int]) -> list[int] | None:
-    """The BFS order of G over right multiplication by ``images``, or None
-    as soon as its Cayley code departs from ``code``."""
-    order = [0]
-    seen = bytearray(n)
-    seen[0] = 1
-    c = p = 0
-    while p < len(order):
-        base = order[p] * n
-        p += 1
-        for h in images:
-            z = flat[base + h]
-            want = code[c]
-            c += 1
-            if want == len(order):
-                if seen[z]:
-                    return None
-                seen[z] = 1
-                order.append(z)
-            elif order[want] != z:
-                return None
-    return order
-
-
 def _compute_automorphisms(group: FiniteGroup,
                            max_order: int) -> list[GroupAutomorphism]:
     """Every automorphism; raises as soon as they outgrow ``max_order**2``
     mapping entries."""
     n = group.order
     limit = _aut_limit(group, max_order)
-    if n == 1:
-        return [GroupAutomorphism(group, (0,))]
     classes = _label_classes(group)
+    if len(classes) == 1:
+        # One label class means every non-identity element has the same
+        # order, a prime p, so G is a p-group.  Its centre is nontrivial,
+        # and a central element's centraliser is G, so every centraliser is
+        # G: G is abelian of exponent p, elementary abelian of order p^k.
+        # Aut(G) is then GL(k,p), of order the product of n - p^i, i < k.
+        p = group.element_order(classes[0][0])
+        size, power = 1, 1
+        while power < n:
+            size, power = size * (n - power), power * p
+        if size > limit:
+            raise _too_many_automorphisms(group, max_order)
     label_of = {x: cls for cls in classes for x in cls}
     gens = _generating_tuple(group, classes)
-    elems, _ = _bfs_subgroup(group, gens)
-    position = [0] * n
-    for p, e in enumerate(elems):
-        position[e] = p
-    mul = group.mul
-    code = [position[mul(e, g)] for e in elems for g in gens]
     flat = group._flat
+    elems, code = _cayley_walk(flat, n, gens)
     results: list[tuple[int, ...]] = []
     for images in itertools.product(*(label_of[g] for g in gens)):
-        order = _match_code(flat, n, code, images)
-        if order is not None:
+        walk = _cayley_walk(flat, n, images, code)
+        if walk is not None:
             mapping = [0] * n
-            for e, y in zip(elems, order):
+            for e, y in zip(elems, walk[0]):
                 mapping[e] = y
             results.append(tuple(mapping))
             if len(results) > limit:

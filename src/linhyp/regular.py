@@ -192,7 +192,7 @@ class RegularLinearHypermap:
         if not report.ok:
             raise InvalidHypermap(
                 "triple is not a regular linear hypermap: "
-                + ", ".join(report.failed_names()))
+                + report.failed_summary())
         return cls._of(t)
 
     @classmethod

@@ -31,6 +31,11 @@ class ValidationReport:
     def failed_names(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
 
+    def failed_summary(self) -> str:
+        """The failed checks as ``name (detail)``, on one line."""
+        return "; ".join(f"{c.name} ({c.detail})" if c.detail else c.name
+                         for c in self.checks if not c.passed)
+
     def summary(self) -> str:
         return "; ".join(
             f"{c.name}: {'PASS' if c.passed else 'FAIL'}" for c in self.checks

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -17,6 +18,8 @@ from linhyp.cli import main
 from linhyp.errors import DuplicateName, ParseError
 from linhyp.hypermap import extract_cells
 from linhyp.regular import RegularLinearHypermap, triple_from_words
+
+from conftest import REPO_ROOT
 
 
 # --- catalog parsing ------------------------------------------------------------
@@ -175,6 +178,25 @@ def test_cli_classify_json(data_dir, tmp_path):
     assert list(payload["manifest"]["input_hashes"].values())[0].startswith("sha256:")
 
 
+LADDER_GOLDENS = json.loads(
+    (REPO_ROOT / "perfbench" / "goldens.json").read_text(encoding="utf-8"))["ladder"]
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_GOLDENS))
+def test_cli_classify_matches_pinned_ladder_goldens(name, tmp_path):
+    # the classify contract: JSON byte-identical outside the manifest
+    out = tmp_path / f"{name}.json"
+    group = REPO_ROOT / "perfbench" / "groups" / f"{name}.grp"
+    assert main(["classify", "--group", str(group), "--out", str(out)]) == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+    data.pop("manifest")
+    body = json.dumps(data, indent=2) + "\n"
+    assert {"sha256": hashlib.sha256(body.encode()).hexdigest(),
+            "order": data["group_order"], "aut": data["aut_group_size"],
+            "admissible": data["admissible_triples"],
+            "classes": data["class_count"]} == LADDER_GOLDENS[name]
+
+
 def test_cli_classify_deterministic_bytes(data_dir, tmp_path):
     args = ["classify", "--group", str(data_dir / "s4.grp"), "--format", "json",
             "--jobs", "1"]
@@ -318,6 +340,17 @@ def test_cli_invalid_triple_exit_1(data_dir):
         "--triple", "(1 2)(3 5);(1 2)(3 4);(1 3)(2 4)")
     assert code == 1
     assert "not a regular linear hypermap" in err
+
+
+def test_cli_invalid_triple_names_the_witness(data_dir, capsys):
+    # fails product-intersection only; the witness is in the message
+    code = main(["invariants", "--group", str(data_dir / "s4.grp"),
+                 "--triple", "(1 2);(3 4);(1 3)"])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "product-intersection (" in lines[0]
+    assert "(1 2)(3 4)" in lines[0]
 
 
 def test_file_sha256(data_dir):

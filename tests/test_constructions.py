@@ -6,14 +6,17 @@ import threading
 import pytest
 
 from linhyp import constructions
+from linhyp.classify import classify
 from linhyp.constructions import (
     PLATONIC_SCHLAFLI,
     _PLATONIC_TRIPLES,
+    _SPHERE_ROWS,
     _symmetry_group,
     RegularMapTriple,
     build_dihedral_family,
     build_half_twist_family,
     digon,
+    dihedral_times_z2_group,
     matches_sphere_table,
     medial,
     platonic_map,
@@ -244,6 +247,26 @@ def test_sphere_table_membership():
         assert medial(t).m_sequence().flags >= 12
     for n in range(3, 9):
         assert matches_sphere_table(build_dihedral_family(n).m_sequence())
+
+
+def test_sphere_table_is_what_classify_finds_on_the_triangle_groups(
+        s4_classes, s4xz2_classes, a5xz2_classes):
+    # a sphere hypermap's group is a finite extended triangle group: S4 is
+    # D(2,3,3), S4 x Z2 is D(2,3,4), A5 x Z2 is D(2,3,5), D_j x Z2 is D(2,2,j)
+    results = {None: [s4_classes, s4xz2_classes, a5xz2_classes]}
+    for j in range(3, 11):
+        results[j] = [classify(dihedral_times_z2_group(j)[0])]
+    seen = set()
+    for j, found in results.items():
+        spheres = [c.m_seq for r in found for c in r.classes
+                   if c.m_seq.genus == 0 and c.m_seq.orientable]
+        assert all(matches_sphere_table(ms) for ms in spheres)
+        rows = {(ms.genus, ms.k, ms.m, ms.n, ms.vertices, ms.hyperedges,
+                 ms.hyperfaces, ms.flags) for ms in spheres}
+        if j is not None:
+            assert (0, 2, 2, j, j, j, 2, 4 * j) in rows
+        seen |= rows
+    assert _SPHERE_ROWS <= seen
 
 
 def test_sphere_table_rejections():

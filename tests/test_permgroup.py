@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 
 import pytest
 
@@ -412,6 +413,30 @@ def test_automorphism_group_s4xz2(s4xz2):
     assert {a.mapping for a in auts} == expected
 
 
+@pytest.mark.parametrize("name", ["s4", "a5xz2"])
+def test_cayley_walk_gives_order_code_and_automorphism_images(name, request):
+    from linhyp.permgroup import _cayley_walk, _generating_tuple, _label_classes
+
+    g = request.getfixturevalue(name)
+    flat, n = g._flat, g.order
+    gens = _generating_tuple(g, _label_classes(g))
+    k = len(gens)
+    order, code = _cayley_walk(flat, n, gens)
+    assert sorted(order) == list(range(n))
+    assert len(code) == n * k
+    for p, x in enumerate(order):
+        for j, h in enumerate(gens):
+            assert order[code[p * k + j]] == g.mul(x, h)
+
+    part, _ = _cayley_walk(flat, n, gens[:1])
+    assert len(part) < n
+
+    accepted = {imgs for imgs in itertools.product(range(n), repeat=k)
+                if _cayley_walk(flat, n, imgs, code) is not None}
+    assert accepted == {tuple(a(h) for h in gens)
+                        for a in automorphism_group(g)}
+
+
 def test_automorphisms_multiplicative(s4):
     for a in automorphism_group(s4):
         m = a.mapping
@@ -451,6 +476,16 @@ def test_automorphism_cap_applies_to_a_cached_list():
     assert len(automorphism_group(g)) == 20160      # GL(4,2)
     with pytest.raises(GroupTooLargeForAut):
         automorphism_group(g, max_order=256)        # 256^2 / 16 = 4096
+
+
+def test_elementary_abelian_aut_refused_before_enumeration():
+    # GL(5,2) has 9999360 elements, past the 2048^2 / 32 = 131072 the
+    # default cap stores; the refusal must not enumerate them first
+    g = _elementary_abelian(5)
+    start = time.perf_counter()
+    with pytest.raises(GroupTooLargeForAut, match="131072"):
+        automorphism_group(g)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_minimal_generating_sequence_generates(s4, a5xz2):
