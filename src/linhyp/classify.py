@@ -27,11 +27,10 @@ process and its output never depends on ``jobs``.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
-
-import numpy as np
 
 from .errors import LinhypError
 from .permgroup import FiniteGroup, automorphism_group, involutions
@@ -90,28 +89,33 @@ class ClassificationResult:
         return len(self.classes)
 
 
-def _orbit_minima(images: np.ndarray, points: np.ndarray) -> list[int]:
+def _orbit_minima(rows: list[tuple[int, ...]], points: list[int]) -> list[int]:
     """Positions in ``points`` of the points least in their orbit.
 
-    ``images[a, i]`` is the image of ``points[i]`` under automorphism ``a``.
+    ``rows[a][i]`` is the image of ``points[i]`` under automorphism ``a``.
     """
-    return np.flatnonzero(images.min(axis=0) == points).tolist()
+    return [i for i, (least, p) in enumerate(zip(map(min, zip(*rows)), points))
+            if least == p]
 
 
 def _self_canonical_triples(maps: list[tuple[int, ...]], invs: list[int]
                             ) -> Iterator[tuple[int, int, int]]:
     """Distinct involution triples equal to their canonical key, in order."""
-    points = np.array(invs, dtype=np.uint16)
-    images = np.array(maps, dtype=np.uint16)[:, points]
-    for i0 in _orbit_minima(images, points):
-        stab0 = images[images[:, i0] == points[i0]]
-        for i1 in _orbit_minima(stab0, points):
+    if len(invs) < 3:
+        return  # no distinct triple, and itemgetter needs two points
+    restrict = operator.itemgetter(*invs)
+    images = [restrict(m) for m in maps]
+    for i0 in _orbit_minima(images, invs):
+        p0 = invs[i0]
+        stab0 = [r for r in images if r[i0] == p0]
+        for i1 in _orbit_minima(stab0, invs):
             if i1 == i0:
                 continue
-            stab01 = stab0[stab0[:, i1] == points[i1]]
-            for i2 in _orbit_minima(stab01, points):
+            p1 = invs[i1]
+            stab01 = [r for r in stab0 if r[i1] == p1]
+            for i2 in _orbit_minima(stab01, invs):
                 if i2 != i0 and i2 != i1:
-                    yield invs[i0], invs[i1], invs[i2]
+                    yield p0, p1, invs[i2]
 
 
 def classify(group: FiniteGroup, group_name: str = "",

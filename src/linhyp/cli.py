@@ -175,7 +175,8 @@ def _emit(args, payload_json: dict | None, table: str,
     """Apply the output policy shared by all subcommands.
 
     ``csv_text`` is given only by ``classify``; ``main`` rejects
-    ``--format csv`` for every other subcommand.
+    ``--format csv`` for every other subcommand.  An ``--out`` path that
+    cannot be written is a user error (exit 1), not a traceback.
     """
     if args.format == "json":
         text = json.dumps(payload_json, indent=2) + "\n"
@@ -184,7 +185,10 @@ def _emit(args, payload_json: dict | None, table: str,
     else:
         text = table
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise LinhypError(f"cannot write {args.out}: {exc.strerror}") from exc
         sys.stdout.write(table)
     else:
         sys.stdout.write(text)

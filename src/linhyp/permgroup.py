@@ -14,14 +14,14 @@ then ``q``, so exponent-style actions compose naturally.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
+import struct
 import threading
 from array import array
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     BadEnvironment,
@@ -36,6 +36,9 @@ from .errors import (
     PointOutOfRange,
     RepeatedPoint,
 )
+
+if TYPE_CHECKING:
+    import numpy
 
 DEFAULT_CLOSURE_CAP = 200_000
 CLOSURE_CAP_ENV = "LHM_MAX_GROUP_ORDER"
@@ -260,47 +263,55 @@ class FiniteGroup:
         return self._flat is not None
 
     def _build_table(self) -> array:
-        """Dense multiplication table, built column-by-column.
+        """Dense multiplication table, built row by row.
 
-        Columns are filled in generation order: if element j was first
-        reached as parent*g, then column j is the g-column gathered through
-        column parent.  This costs O(n^2) index operations instead of
-        O(n^2 * degree) compositions.
+        Since ``(g*x)*y = g*(x*y)``, row ``g*x`` is row ``g`` read through
+        row ``x``.  Each generator's row comes from composing permutations;
+        every other row is one gather, in breadth-first order from the
+        identity under left multiplication by the generators.  This costs
+        O(n^2) index operations, all inside ``itemgetter``.
         """
         n = self.order
-        imgs = np.array([e.images for e in self.elements], dtype=np.int64)
-        gens = self.generator_indices or (0,)
-        gen_cols = {}
-        for g in gens:
-            composed = imgs[g][imgs]          # row x = images of elements[x]*g
-            col = np.empty(n, dtype=np.uint16)
-            for x in range(n):
-                col[x] = self._index[tuple(composed[x])]
-            gen_cols[g] = col
-        table = np.empty((n, n), dtype=np.uint16)
-        table[:, 0] = np.arange(n, dtype=np.uint16)
-        pending = deque([0])
+        flat = array("H", bytes(2 * n * n))
+        pack_row = struct.Struct(f"{n}H").pack_into
+        identity = tuple(range(n))
+        pack_row(flat, 0, *identity)
+        if n == 1:
+            return flat
+        gen_rows = []
+        for g in self.generator_indices or (0,):
+            compose = operator.itemgetter(*self.elements[g].images)
+            gen_rows.append(tuple(self._index[compose(e.images)]
+                                  for e in self.elements))
         done = bytearray(n)
         done[0] = 1
+        pending = deque([(0, identity)])
         while pending:
-            j = pending.popleft()
-            for g in gens:
-                t = int(gen_cols[g][j])
+            x, row_x = pending.popleft()
+            gather = operator.itemgetter(*row_x)
+            for row_g in gen_rows:
+                t = row_g[x]
                 if not done[t]:
                     done[t] = 1
-                    table[:, t] = gen_cols[g][table[:, j]]
-                    pending.append(t)
+                    row = gather(row_g)
+                    pack_row(flat, 2 * n * t, *row)
+                    pending.append((t, row))
         if not all(done):
             raise ValueError("generators do not generate the element set")
-        flat = array("H")
-        flat.frombytes(np.ascontiguousarray(table).tobytes())
         return flat
 
-    def table_view(self) -> np.ndarray:
-        """The multiplication table as a read-only (n, n) array."""
+    def table_view(self) -> numpy.ndarray:
+        """The multiplication table as a read-only (n, n) array.
+
+        The only use of numpy in the package; it is imported here so that
+        nothing else pays for it.
+        """
+        import numpy
+
         if self._flat is None:
             raise GroupTooLarge("no dense table for groups this large")
-        view = np.frombuffer(self._flat, dtype=np.uint16)
+        view = numpy.frombuffer(self._flat, dtype=numpy.uint16)
+        view.flags.writeable = False
         return view.reshape(self.order, self.order)
 
     def check_index(self, i: int) -> None:
@@ -704,38 +715,65 @@ def _too_many_automorphisms(group: FiniteGroup,
         "entries, the automorphism cap")
 
 
-def _label_classes(group: FiniteGroup) -> list[list[int]]:
+def _conjugacy_classes(group: FiniteGroup) -> list[int]:
+    """The least element of each element's conjugacy class.
+
+    Classes are the orbits of ``x -> g^-1 x g`` over the generators,
+    found in O(|G| * k) table reads.
+    """
+    flat, n = group._flat, group.order
+    conjugators = [(group._inverse[g] * n, g)
+                   for g in group.generator_indices]
+    class_of = [-1] * n
+    for root in range(n):
+        if class_of[root] >= 0:
+            continue
+        class_of[root] = root
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for ginv, g in conjugators:
+                y = flat[flat[ginv + x] * n + g]
+                if class_of[y] < 0:
+                    class_of[y] = root
+                    stack.append(y)
+    return class_of
+
+
+def _label_classes(group: FiniteGroup,
+                   class_of: list[int] | None = None) -> list[list[int]]:
     """Non-identity elements grouped by (element order, centraliser size),
     smallest class first.
 
     Automorphisms preserve both, so each class is a union of Aut-orbits.
+    The centraliser of x has ``|G| / |class(x)|`` elements; ``class_of``
+    is :func:`_conjugacy_classes` of the group, computed if not given.
     """
-    table = group.table_view()
-    centraliser = np.count_nonzero(table == table.T, axis=1).tolist()
+    if class_of is None:
+        class_of = _conjugacy_classes(group)
+    class_size = Counter(class_of)
+    n = group.order
     classes: dict[tuple[int, int], list[int]] = {}
-    for i in range(1, group.order):
-        label = (group.element_order(i), centraliser[i])
+    for i in range(1, n):
+        label = (group.element_order(i), n // class_size[class_of[i]])
         classes.setdefault(label, []).append(i)
     return sorted(classes.values(), key=lambda c: (len(c), c[0]))
 
 
-def _conjugacy_representatives(group: FiniteGroup,
+def _conjugacy_representatives(class_of: list[int],
                                members: list[int]) -> list[int]:
-    """One element of each conjugacy class meeting ``members``."""
-    table = group.table_view()
-    inverse = np.asarray(group._inverse)
-    every = np.arange(group.order)
+    """The first member of each conjugacy class meeting ``members``."""
     reps: list[int] = []
     seen: set[int] = set()
     for a in members:
-        if a not in seen:
+        if class_of[a] not in seen:
             reps.append(a)
-            seen.update(table[table[inverse, a], every].tolist())
+            seen.add(class_of[a])
     return reps
 
 
-def _generating_tuple(group: FiniteGroup,
-                      classes: list[list[int]]) -> list[int]:
+def _generating_tuple(group: FiniteGroup, classes: list[list[int]],
+                      class_of: list[int] | None = None) -> list[int]:
     """A short generating tuple whose label classes have a small product.
 
     Tries one generator, then pairs of classes in order of their size
@@ -747,11 +785,13 @@ def _generating_tuple(group: FiniteGroup,
     for cls in classes:
         if group.element_order(cls[0]) == n:
             return [cls[0]]
+    if class_of is None:
+        class_of = _conjugacy_classes(group)
     pairs = sorted((len(a) * len(b), i, j)
                    for i, a in enumerate(classes)
                    for j, b in enumerate(classes[i:], start=i))
     for _, i, j in pairs:
-        for a in _conjugacy_representatives(group, classes[i]):
+        for a in _conjugacy_representatives(class_of, classes[i]):
             for b in classes[j]:
                 if b != a and group.subgroup_bits((a, b)).bit_count() == n:
                     return [a, b]
@@ -764,7 +804,8 @@ def _compute_automorphisms(group: FiniteGroup,
     mapping entries."""
     n = group.order
     limit = _aut_limit(group, max_order)
-    classes = _label_classes(group)
+    class_of = _conjugacy_classes(group)
+    classes = _label_classes(group, class_of)
     if len(classes) == 1:
         # One label class means every non-identity element has the same
         # order, a prime p, so G is a p-group.  Its centre is nontrivial,
@@ -778,7 +819,7 @@ def _compute_automorphisms(group: FiniteGroup,
         if size > limit:
             raise _too_many_automorphisms(group, max_order)
     label_of = {x: cls for cls in classes for x in cls}
-    gens = _generating_tuple(group, classes)
+    gens = _generating_tuple(group, classes, class_of)
     flat = group._flat
     elems, code = _cayley_walk(flat, n, gens)
     results: list[tuple[int, ...]] = []

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -351,6 +352,33 @@ def test_cli_invalid_triple_names_the_witness(data_dir, capsys):
     assert len(lines) == 1
     assert "product-intersection (" in lines[0]
     assert "(1 2)(3 4)" in lines[0]
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_cli_unwritable_out_is_one_line_error(data_dir, tmp_path, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+    code, _, err = run_cli("classify", "--group", str(data_dir / "s4.grp"),
+                           "--out", str(out))
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot write {out}: ")
+
+
+def test_lhm_never_imports_numpy(tmp_path):
+    # numpy is only for FiniteGroup.table_view; start-up must not pay for it
+    script = (
+        "import sys\n"
+        "import linhyp, linhyp.cli\n"
+        "argv = ['classify', '--group', 'data/a5xz2.grp', '--out', sys.argv[1]]\n"
+        "assert linhyp.cli.main(argv) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "a5xz2.json")],
+        cwd=REPO_ROOT, env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_file_sha256(data_dir):

@@ -147,6 +147,74 @@ def test_mul_table_matches_composition(s4):
             assert s4.elements[s4.mul(i, j)] == composed
 
 
+_TABLE_GROUPS = {
+    "trivial": (["()"], 1),
+    "z2": (["(1 2)"], 2),
+    "s4": (["(1 2)", "(1 2 3 4)"], 4),
+    "a5xz2": (["(1 2 3 4 5)", "(1 2 3)", "(6 7)"], 7),
+    "psl27": (["(1 2 3 4 5 6 7)", "(1 2)(3 6)"], 7),
+    "s4xz2xz2": (["(1 2)", "(1 2 3 4)", "(5 6)", "(7 8)"], 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TABLE_GROUPS))
+def test_table_build_matches_brute_force(name):
+    words, degree = _TABLE_GROUPS[name]
+    g = closure([parse_cycles(w, degree) for w in words])
+    assert len(g.generator_indices) == len(words)
+    n = g.order
+    for i in range(n):
+        for j in range(n):
+            assert g.mul(i, j) == g.index_of(g.elements[i] * g.elements[j])
+    view = g.table_view()
+    assert view.shape == (n, n) and view.dtype.name == "uint16"
+    assert not view.flags.writeable
+    assert view[n - 1, n - 1] == g.mul(n - 1, n - 1)
+
+
+_LABEL_GROUPS = {
+    "s4xz2": (["(1 2)", "(1 2 3 4)", "(5 6)"], 6),
+    "psl27": (["(1 2 3 4 5 6 7)", "(1 2)(3 6)"], 7),
+    "a6": (["(1 2 3 4 5)", "(4 5 6)"], 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LABEL_GROUPS))
+def test_centraliser_labels_and_classes_match_brute_force(name):
+    from linhyp.permgroup import (
+        _conjugacy_classes,
+        _conjugacy_representatives,
+        _label_classes,
+    )
+
+    words, degree = _LABEL_GROUPS[name]
+    g = closure([parse_cycles(w, degree) for w in words])
+    n, mul = g.order, g.mul
+    elements = range(n)
+
+    def label(x):
+        return (g.element_order(x),
+                sum(mul(x, y) == mul(y, x) for y in elements))
+
+    conjugates = [{mul(mul(g.inverse_index(h), x), h) for h in elements}
+                  for x in elements]
+    classes = _label_classes(g)
+    assert sorted(x for cls in classes for x in cls) == list(range(1, n))
+    labels = [{label(x) for x in cls} for cls in classes]
+    assert all(len(ls) == 1 for ls in labels)
+    assert len(set.union(*labels)) == len(classes)
+    assert classes == sorted(classes, key=lambda c: (len(c), c[0]))
+
+    class_of = _conjugacy_classes(g)
+    assert class_of == [min(conjugates[x]) for x in elements]
+    for members in classes + [list(reversed(elements))]:
+        expected = []
+        for a in members:
+            if not any(a in conjugates[r] for r in expected):
+                expected.append(a)
+        assert _conjugacy_representatives(class_of, members) == expected
+
+
 # --- subgroups ---------------------------------------------------------------
 
 
