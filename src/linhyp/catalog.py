@@ -16,7 +16,7 @@ line after ``gens:`` is one permutation in cycle notation at the declared
 base degree.  ``degree`` is a positive decimal integer no larger than the
 closure cap (``LHM_MAX_GROUP_ORDER``, default 200000), checked before any
 generator is parsed, since each generator is built as a list of ``degree``
-images.
+images.  A header key given twice is a parse error.
 
 Flag-hypermap files (``*.flags``) are::
 
@@ -83,6 +83,7 @@ def parse_group_file(path: str | Path,
     degree: int | None = None
     times_z2 = False
     gen_words: list[str] = []
+    seen: set[str] = set()
     in_gens = False
     for lineno, line in _non_comment_lines(text):
         if in_gens:
@@ -96,6 +97,10 @@ def parse_group_file(path: str | Path,
             raise ParseError(f"expected 'key: value', got {line!r}",
                              path=str(path), line=lineno)
         key, value = key.strip(), value.strip()
+        if key in seen:
+            raise ParseError(f"duplicate key {key!r}",
+                             path=str(path), line=lineno)
+        seen.add(key)
         if key == "name":
             name = value
         elif key == "degree":

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -192,6 +194,20 @@ def _emit(args, payload_json: dict | None, table: str,
         sys.stdout.write(table)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(out: str) -> None:
+    """Refuse an ``--out`` that is a directory, or whose parent is not one,
+    before any work is done.  Nothing is created or truncated here, and
+    ``_emit`` still reports a write that fails later."""
+    path = Path(out)
+    if path.is_dir():
+        code = errno.EISDIR
+    elif path.parent.is_dir():
+        return
+    else:
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    raise LinhypError(f"cannot write {out}: {os.strerror(code)}")
 
 
 def _single_hypermap_output(args, m: RegularLinearHypermap,
@@ -434,6 +450,8 @@ def main(argv: list[str] | None = None) -> int:
             args.format = "json" if args.out else "table"
         if args.format == "csv" and args.command != "classify":
             raise _UsageError("--format csv is only available for classify")
+        if args.out:
+            _check_out(args.out)
         return args.handler(args)
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")

@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 from .errors import BadParameter, NotSimple, SearchFailed, UnknownSolid
 from .permgroup import (
+    CLOSURE_CAP_ENV,
     FiniteGroup,
     Permutation,
     closure,
+    closure_cap,
     conjugate_set,
     generated_subgroup,
     involutions,
@@ -36,6 +38,15 @@ def _rotation_reflections(n: int) -> tuple[Permutation, Permutation]:
     return r0, r1
 
 
+def _check_order(order: int, parameter: str) -> None:
+    """Refuse a family group over the closure cap before any permutation is
+    built, as ``.grp`` files are refused for their ``degree:``."""
+    cap = closure_cap()
+    if order > cap:
+        raise BadParameter(f"{parameter} gives a group of order {order}, over "
+                           f"the cap of {cap} ({CLOSURE_CAP_ENV})")
+
+
 def dihedral_times_z2_group(n: int) -> tuple[FiniteGroup, int, int, int]:
     """The dihedral group on n points with an adjoined central involution.
 
@@ -44,6 +55,7 @@ def dihedral_times_z2_group(n: int) -> tuple[FiniteGroup, int, int, int]:
     """
     if n < 3:
         raise BadParameter(f"n = {n}; the dihedral family needs n >= 3")
+    _check_order(4 * n, f"n = {n}")
     r0, r1 = _rotation_reflections(n)
     r0, r1 = r0.extended(n + 2), r1.extended(n + 2)
     a = parse_cycles(f"({n + 1} {n + 2})", n + 2)
@@ -111,6 +123,7 @@ def build_half_twist_family(m: int) -> RegularLinearHypermap:
     if m < 6 or m % 4 != 0:
         raise BadParameter(
             f"m = {m}; the half-twist family needs m >= 6 with 4 | m")
+    _check_order(2 * m, f"m = {m}")
     r0, r1 = _rotation_reflections(m)
     group = closure([r0, r1])
     assert group.order == 2 * m

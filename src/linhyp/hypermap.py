@@ -14,15 +14,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 
 from .errors import (
     DegenerateHypermap,
     DegreeMismatch,
+    GroupTooLarge,
     InvalidHypermap,
     LinearityViolation,
     NonIntegralGenus,
 )
-from .permgroup import Permutation
+from .permgroup import CLOSURE_CAP_ENV, Permutation, closure_cap
 from .report import CheckResult, ValidationReport
 
 
@@ -32,7 +34,8 @@ class FlagHypermap:
     Construction rejects degenerate data (fewer than four flags, a non
     involution, or an involution with a fixed point).  Everything else,
     including the three perms being pairwise distinct, is the validator's
-    business and gets reported rather than raised.
+    business and gets reported rather than raised; the validator raises
+    only ``GroupTooLarge``, for a stabiliser over the closure cap.
     """
 
     __slots__ = ("flag_count", "r0", "r1", "r2", "_report", "_cells")
@@ -55,9 +58,7 @@ class FlagHypermap:
         self._cells: CellStructure | None = None
 
     def validate(self) -> ValidationReport:
-        if self._report is None:
-            self._report = validate_hypermap(self)
-        return self._report
+        return validate_hypermap(self)
 
     def require_valid(self) -> None:
         report = self.validate()
@@ -192,32 +193,46 @@ def _perm_subgroup(n: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]
 
 
 def validate_hypermap(h: FlagHypermap) -> ValidationReport:
-    """Check the full flag-level definition; failures become report entries."""
+    """Check the full flag-level definition once; failures become report
+    entries.  The report is stored on ``h`` and returned by later calls.
+
+    The one exception raised is ``GroupTooLarge``, when ``<r1,r2>`` or
+    ``<r0,r2>`` has more elements than the closure cap.  Two involutions
+    generate a dihedral group of order ``2*ord(ab)``, and ``ab`` has order
+    the lcm of the half-lengths of the ``<a,b>``-orbits, so the order is
+    known before any element is enumerated.  (A malformed cap variable is
+    ``BadEnvironment``, as everywhere the cap is read.)
+    """
+    if h._report is not None:
+        return h._report
     n = h.flag_count
-    checks: list[CheckResult] = []
-    rs = (h.r0.images, h.r1.images, h.r2.images)
+    perms = (h.r0, h.r1, h.r2)
+    checks = [
+        CheckResult("involutions", all(r.is_involution() for r in perms)),
+        CheckResult("fixed-point-free",
+                    not any(r.fixed_points() for r in perms)),
+    ]
 
-    involutive = all(
-        all(r[r[i]] == i for i in range(n)) and any(r[i] != i for i in range(n))
-        for r in rs)
-    fpf = all(all(r[i] != i for i in range(n)) for r in rs)
-    checks.append(CheckResult("involutions", involutive))
-    checks.append(CheckResult("fixed-point-free", fpf))
-
-    distinct = len(set(rs)) == 3
+    distinct = len(set(perms)) == 3
     checks.append(CheckResult(
         "pairwise-distinct", distinct,
         "" if distinct else "two of r0, r1, r2 coincide"))
 
-    orbits = _orbit_partition(n, [h.r0, h.r1, h.r2])
+    orbits = _orbit_partition(n, list(perms))
     transitive = len(orbits) == 1
     checks.append(CheckResult(
         "transitive", transitive,
         "" if transitive else f"{len(orbits)} monodromy orbits"))
 
-    hsub = _perm_subgroup(n, [rs[1], rs[2]])
-    ksub = _perm_subgroup(n, [rs[0], rs[2]])
-    expected = sorted({tuple(range(n)), rs[2]})
+    cap = closure_cap()
+    for name, a in (("<r1,r2>", h.r1), ("<r0,r2>", h.r0)):
+        order = 2 * lcm(*(len(o) // 2 for o in _orbit_partition(n, [a, h.r2])))
+        if order > cap:
+            raise GroupTooLarge(f"{name} has {order} elements, over the cap "
+                                f"of {cap} ({CLOSURE_CAP_ENV})")
+    hsub = _perm_subgroup(n, [h.r1.images, h.r2.images])
+    ksub = _perm_subgroup(n, [h.r0.images, h.r2.images])
+    expected = sorted({tuple(range(n)), h.r2.images})
     inter = sorted(set(hsub) & set(ksub))
     cond1 = inter == expected
     checks.append(CheckResult(
@@ -228,7 +243,8 @@ def validate_hypermap(h: FlagHypermap) -> ValidationReport:
     cond2, detail = _product_condition_all_flags(n, hsub, ksub)
     checks.append(CheckResult("product-intersection", cond2, detail))
 
-    return ValidationReport(tuple(checks))
+    h._report = ValidationReport(tuple(checks))
+    return h._report
 
 
 def _product_condition_all_flags(n, hsub, ksub) -> tuple[bool, str]:

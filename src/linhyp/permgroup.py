@@ -654,21 +654,6 @@ def _cayley_walk(flat: array, n: int, gens: Sequence[int],
     return order, walk
 
 
-def _bfs_subgroup(group: FiniteGroup, gens: Sequence[int]):
-    """Subgroup elements in walk order plus parent definitions.
-
-    Returns ``(elems, defs)`` where each non-identity element e in ``elems``
-    was first reached as ``defs[e] = (parent, k)`` meaning e = parent*gens[k].
-    """
-    elems, code = _cayley_walk(group._flat, group.order, gens)
-    k = len(gens)
-    defs: dict[int, tuple[int, int]] = {}
-    for c, q in enumerate(code):
-        if q == len(defs) + 1:
-            defs[elems[q]] = (elems[c // k], c % k)
-    return elems, defs
-
-
 def automorphism_group(group: FiniteGroup,
                        max_order: int = DEFAULT_AUT_CAP
                        ) -> list[GroupAutomorphism]:

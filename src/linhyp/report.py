@@ -14,7 +14,9 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """An ordered list of checks; validation never raises, it reports."""
+    """An ordered list of checks; validation reports failures instead of
+    raising them.  The one exception: ``validate_hypermap`` raises
+    ``GroupTooLarge`` for a flag stabiliser over the closure cap."""
 
     checks: tuple[CheckResult, ...]
 

@@ -457,3 +457,85 @@ def test_cli_bad_closure_cap_env_exit_64(data_dir, monkeypatch, capsys, value):
     assert code == 64
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "LHM_MAX_GROUP_ORDER" in err[0]
+
+
+@pytest.mark.parametrize("key, line, header", [
+    ("name", 2, "name: a\nname: b\ndegree: 4\n"),
+    ("degree", 3, "name: a\ndegree: 4\ndegree: 3\n"),
+    ("times-z2", 4, "name: a\ntimes-z2: false\ndegree: 4\ntimes-z2: true\n"),
+], ids=["name", "degree", "times-z2"])
+def test_repeated_grp_header_key_is_a_parse_error(tmp_path, capsys, key, line,
+                                                  header):
+    path = tmp_path / "dup.grp"
+    path.write_text(header + "gens:\n(1 2 3)\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=f":{line}: duplicate key '{key}'"):
+        parse_group_file(path)
+    assert main(["classify", "--group", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}:{line}: duplicate key '{key}'"]
+
+
+@pytest.mark.parametrize("argv, order", [
+    (["--family", "z2xd2n", "--n", "400000000"], 1600000000),
+    (["--family", "d2m", "--m", "400000000"], 800000000),
+])
+def test_family_order_checked_before_allocation(capsys, argv, order):
+    assert main(["family", *argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert f"group of order {order}, over the cap of 200000" in err[0]
+    assert "LHM_MAX_GROUP_ORDER" in err[0]
+
+
+def test_family_order_bound_is_the_closure_cap(monkeypatch, capsys):
+    monkeypatch.setenv("LHM_MAX_GROUP_ORDER", "40")
+    assert main(["family", "--family", "z2xd2n", "--n", "10"]) == 0
+    assert main(["family", "--family", "z2xd2n", "--n", "11"]) == 1
+    assert main(["family", "--family", "d2m", "--m", "20"]) == 0
+    assert main(["family", "--family", "d2m", "--m", "24"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(" gives")[0] for line in err] == [
+        "error: n = 11", "error: m = 24"]
+
+
+_ALL_SUBCOMMANDS = [
+    ["classify", "--group", "DATA/s4.grp"],
+    ["invariants", "--group", "DATA/s4.grp", "--triple", "(1 2);(2 3);(3 4)"],
+    ["dual", "--group", "DATA/s4.grp", "--triple", "(1 2);(2 3);(3 4)"],
+    ["validate-flags", "--flags", "DATA/torus9.flags"],
+    ["family", "--family", "d2m", "--m", "8"],
+    ["census", "--catalog", "DATA"],
+]
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "file"])
+@pytest.mark.parametrize("argv", _ALL_SUBCOMMANDS, ids=lambda a: a[0])
+def test_unwritable_out_refused_before_the_work(data_dir, tmp_path, capsys,
+                                                monkeypatch, argv, where):
+    import linhyp.cli as cli
+
+    def refuse(*_):
+        raise AssertionError("the work started")
+    monkeypatch.setattr(cli, "classify", refuse)
+    for name in ("_cmd_classify", "_cmd_triple", "_cmd_validate_flags",
+                 "_cmd_family", "_cmd_census"):
+        monkeypatch.setattr(cli, name, refuse)
+    (tmp_path / "plain").write_text("", encoding="utf-8")
+    out = {"missing-directory": tmp_path / "missing" / "x.json",
+           "directory": tmp_path,
+           "file": tmp_path / "plain" / "x.json"}[where]
+    argv = [a.replace("DATA", str(data_dir)) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+
+
+def test_out_is_neither_created_nor_truncated_by_failed_work(tmp_path):
+    bad = tmp_path / "bad.grp"
+    bad.write_text("name: bad\ngens:\n(1 2)\n", encoding="utf-8")
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("old\n", encoding="utf-8")
+    for out in (fresh, kept):
+        assert main(["classify", "--group", str(bad), "--out", str(out)]) == 1
+    assert not fresh.exists()
+    assert kept.read_text(encoding="utf-8") == "old\n"

@@ -296,3 +296,79 @@ def test_linearity_violations_match_pairwise_definition():
 def test_hypergraph_rejects_unknown_vertices():
     with pytest.raises(ValueError):
         LinearHypergraph((1, 2), (frozenset({1, 3}),))
+
+
+# --- one validation per hypermap, bounded stabilisers ---------------------------
+
+
+def test_each_flag_hypermap_is_validated_once(monkeypatch, capsys, data_dir):
+    import linhyp.hypermap as hm
+    from linhyp.catalog import load_flag_hypermap
+    from linhyp.cli import main
+
+    calls = []
+    original = hm._product_condition_all_flags
+    monkeypatch.setattr(hm, "_product_condition_all_flags",
+                        lambda *a: calls.append(a) or original(*a))
+    h = load_flag_hypermap(data_dir / "torus9.flags")
+    report = validate_hypermap(h)
+    h.validate()
+    extract_cells(h)
+    orientability(h)
+    surface_invariant(h)
+    underlying_hypergraph(h)
+    assert len(calls) == 1
+    assert h.validate() is report and validate_hypermap(h) is report
+
+    calls.clear()
+    assert main(["validate-flags", "--flags",
+                 str(data_dir / "torus9.flags")]) == 0
+    assert "genus 1" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def _hostile_flags(path):
+    """200 flags whose <r1,r2>-orbits are alternating cycles of half-lengths
+    2, 3, 5, ..., 23, so |<r1,r2>| = 2 * lcm = 446185740."""
+    r1, r2, start = [], [], 1
+    for half in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+        p = range(start, start + 2 * half)
+        r1 += [(p[2 * i], p[2 * i + 1]) for i in range(half)]
+        r2 += [(p[2 * i + 1], p[(2 * i + 2) % (2 * half)]) for i in range(half)]
+        start += 2 * half
+    r0 = [pair for b in range(1, start, 4) for pair in ((b, b + 2), (b + 1, b + 3))]
+
+    def cycles(pairs):
+        return "".join(f"({a} {b})" for a, b in pairs)
+    path.write_text(f"flags: {start - 1}\nr0: {cycles(r0)}\nr1: {cycles(r1)}\n"
+                    f"r2: {cycles(r2)}\n", encoding="utf-8")
+    return path
+
+
+def test_huge_stabiliser_refused_before_enumeration(tmp_path, capsys):
+    import time
+
+    from linhyp.catalog import load_flag_hypermap
+    from linhyp.cli import main
+    from linhyp.errors import GroupTooLarge
+
+    path = _hostile_flags(tmp_path / "hostile.flags")
+    with pytest.raises(GroupTooLarge, match="446185740"):
+        validate_hypermap(load_flag_hypermap(path))
+    started = time.perf_counter()
+    assert main(["validate-flags", "--flags", str(path)]) == 1
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: <r1,r2> has 446185740 elements, over the cap of "
+                   "200000 (LHM_MAX_GROUP_ORDER)"]
+
+
+def test_stabiliser_bound_is_the_closure_cap(monkeypatch, torus):
+    # |<r1,r2>| = 4 and |<r0,r2>| = 6 on the torus
+    from linhyp.errors import GroupTooLarge
+
+    monkeypatch.setenv("LHM_MAX_GROUP_ORDER", "5")
+    with pytest.raises(GroupTooLarge, match="<r0,r2> has 6 elements"):
+        validate_hypermap(FlagHypermap(torus.r0, torus.r1, torus.r2))
+    monkeypatch.setenv("LHM_MAX_GROUP_ORDER", "6")
+    assert validate_hypermap(FlagHypermap(torus.r0, torus.r1, torus.r2)).ok

@@ -441,12 +441,17 @@ def test_automorphism_group_z2():
 def _generator_image_search(group, generator_words):
     """Independent oracle: try every order-compatible image tuple of a
     fixed generating set and keep full table homomorphisms."""
-    from linhyp.permgroup import _bfs_subgroup
-
     gens = [group.index_of(parse_cycles(w, group.degree))
             for w in generator_words]
     assert group.subgroup_bits(gens).bit_count() == group.order
-    elems, defs = _bfs_subgroup(group, gens)
+    # breadth-first parent links: each e was first reached as parent * gens[k]
+    elems, defs = [0], {}
+    for e in elems:
+        for k, g in enumerate(gens):
+            x = group.mul(e, g)
+            if x != 0 and x not in defs:
+                defs[x] = (e, k)
+                elems.append(x)
     by_order = {}
     for i in range(group.order):
         by_order.setdefault(group.element_order(i), []).append(i)
