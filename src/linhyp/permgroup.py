@@ -44,6 +44,10 @@ DEFAULT_CLOSURE_CAP = 200_000
 CLOSURE_CAP_ENV = "LHM_MAX_GROUP_ORDER"
 TABLE_LIMIT = 4096
 DEFAULT_AUT_CAP = 2048
+# subgroup_bits sets the bits of a proper subgroup one shift-or at a time
+# below |G| / _BUFFER_SHARE elements and through one string of digits above
+# it; on a6, s6xz2 and a7 the two cost the same near |G| / 16.
+_BUFFER_SHARE = 16
 
 
 class Permutation:
@@ -358,22 +362,57 @@ class FiniteGroup:
         return word
 
     def subgroup_bits(self, seeds: Sequence[int]) -> int:
-        """Bitset of the subgroup generated by the seed indices."""
-        bits = 1
-        stack = [0]
+        """Bitset of the subgroup generated by the seed indices.
+
+        Dimino's coset walk (Butler, LNCS 559, 1991): the seeds are added
+        one at a time, and a seed already in the subgroup ``H`` found so far
+        is skipped.  The first new seed gives a cyclic group, its powers.
+        Each later seed ``s`` gives ``<H, s>`` as the union of left cosets
+        ``yH``: the representatives ``y`` are walked from the identity under
+        left multiplication by the seeds so far, and each new one brings
+        its whole coset at once: one gather of table row ``y``, or one
+        ``mul`` per element in a group without a table.  So only
+        ``|<H, s>| / |H|`` representatives take a step each.
+        """
         for s in seeds:
-            if not bits >> s & 1:
-                bits |= 1 << s
-                stack.append(s)
-        mul = self.mul
-        while stack:
-            x = stack.pop()
-            for s in seeds:
-                y = mul(x, s)
-                if not bits >> y & 1:
-                    bits |= 1 << y
-                    stack.append(y)
-        return bits
+            self.check_index(s)
+        n, mul = self.order, self.mul
+        rows = None if self._flat is None else memoryview(self._flat)
+        members = {0}
+        gens: list[int] = []
+        for s in seeds:
+            if s in members:
+                continue
+            gens.append(s)
+            if len(members) == 1:
+                x = s
+                while x:
+                    members.add(x)
+                    x = mul(x, s)
+                continue
+            h = tuple(members)
+            take = operator.itemgetter(*h)
+            reps = [0]
+            for r in reps:
+                # at the identity, only s leaves H: t * 1 = t for the rest
+                for t in gens if r else (s,):
+                    y = mul(t, r)
+                    if y not in members:
+                        members.update(take(rows[y * n:(y + 1) * n])
+                                       if rows is not None
+                                       else [mul(y, x) for x in h])
+                        reps.append(y)
+        if len(members) == n:
+            return (1 << n) - 1
+        if len(members) * _BUFFER_SHARE < n:
+            bits = 0
+            for x in members:
+                bits |= 1 << x
+            return bits
+        digits = bytearray(b"0") * n
+        for x in members:
+            digits[x] = 49  # ord("1")
+        return int(digits[::-1], 2)
 
     def product_bits(self, a_bits: int, b_bits: int) -> int:
         """Bitset of all products x*y with x in ``a_bits``, y in ``b_bits``."""
@@ -517,8 +556,6 @@ def generated_subgroup(group: FiniteGroup,
     seeds = list(seeds)
     if not seeds:
         raise IndexOutOfRange("seed list is empty")
-    for s in seeds:
-        group.check_index(s)
     return ElementSet(group, group.subgroup_bits(seeds))
 
 

@@ -273,11 +273,18 @@ def dual(m: RegularLinearHypermap) -> RegularLinearHypermap:
     and the swapped triple generates the same group, so the dual of an
     admissible triple is admissible and is not checked again.  This trusts
     ``m`` to have been built by ``from_triple``, ``classify`` or
-    :mod:`linhyp.constructions`, which all check admissibility.
+    :mod:`linhyp.constructions`, which all check admissibility.  The
+    stabilizers are m's own: the dual's vertex stabilizer <r0,r2> is m's
+    hyperedge stabilizer and vice versa, and <r0,r1> stays the hyperface
+    stabilizer, so no subgroup is closed again.
     """
     t = m.triple
-    return RegularLinearHypermap._of(
-        InvolutionTriple(t.group, t.r1, t.r0, t.r2))
+    return RegularLinearHypermap(
+        triple=InvolutionTriple(t.group, t.r1, t.r0, t.r2),
+        vertex_stabilizer=m.hyperedge_stabilizer,
+        hyperedge_stabilizer=m.vertex_stabilizer,
+        hyperface_stabilizer=m.hyperface_stabilizer,
+    )
 
 
 def is_isomorphic(t1: InvolutionTriple, t2: InvolutionTriple) -> bool:

@@ -4,7 +4,11 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_classify import random_generators
 
+from linhyp import permgroup
 from linhyp.errors import (
     DegreeMismatch,
     GroupMismatch,
@@ -243,6 +247,47 @@ def test_generated_subgroup_bad_seed(a5xz2):
         generated_subgroup(a5xz2, [a5xz2.order])
     with pytest.raises(IndexOutOfRange):
         generated_subgroup(a5xz2, [])
+
+
+@pytest.mark.parametrize("seeds", [(24,), (-1,), (1, 24), (1, -1)])
+def test_subgroup_bits_rejects_out_of_range_seed(s4, seeds):
+    with pytest.raises(IndexOutOfRange):
+        s4.subgroup_bits(seeds)
+
+
+def _breadth_first_closure(group, seeds):
+    """Oracle: the subgroup generated by ``seeds``, one ``mul`` per product."""
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop()
+        for s in seeds:
+            y = group.mul(x, s)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return sum(1 << x for x in seen)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_generators, st.data())
+def test_subgroup_bits_matches_breadth_first_closure(images, data):
+    gens = [Permutation(p) for p in images]
+    group = closure(gens)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permgroup, "TABLE_LIMIT", 0)
+        tableless = closure(gens)
+    assert group.has_table and not tableless.has_table
+    seeds = data.draw(st.lists(st.integers(0, group.order - 1), max_size=4))
+    inner = [group.mul(seeds[0], seeds[-1])] if seeds else []
+    seed_lists = [
+        [], [0], seeds,
+        [0] + [s for s in seeds for _ in range(2)],  # identity and repeats
+        seeds + inner,  # a seed already in the subgroup of the earlier ones
+    ]
+    for g in (group, tableless):
+        for s in seed_lists:
+            assert g.subgroup_bits(s) == _breadth_first_closure(g, s)
 
 
 def test_lagrange_for_all_involution_pairs(s4):

@@ -169,6 +169,18 @@ def test_double_dual_is_identical(a5xz2):
     assert m.dual().dual().triple == m.triple
 
 
+def test_dual_reuses_the_stabilizers(a5xz2, monkeypatch):
+    m = hypermap(a5xz2, SPHERE_253)
+    calls = []
+    monkeypatch.setattr(type(a5xz2), "subgroup_bits",
+                        lambda self, seeds: calls.append(seeds))
+    d = m.dual()
+    assert calls == []
+    assert d.vertex_stabilizer is m.hyperedge_stabilizer
+    assert d.hyperedge_stabilizer is m.vertex_stabilizer
+    assert d.hyperface_stabilizer is m.hyperface_stabilizer
+
+
 def test_dual_swaps_k_m_and_v_e(a5xz2):
     m = hypermap(a5xz2, SPHERE_253)
     ms, dual_ms = m.m_sequence(), m.dual().m_sequence()
