@@ -190,6 +190,9 @@ def load_flag_hypermap(path: str | Path) -> FlagHypermap:
             raise ParseError(f"expected 'key: value', got {line!r}",
                              path=str(path), line=lineno)
         key = key.strip()
+        if key not in ("flags", "r0", "r1", "r2"):
+            raise ParseError(f"unknown key {key!r}",
+                             path=str(path), line=lineno)
         if key in fields:
             raise ParseError(f"duplicate key {key!r}",
                              path=str(path), line=lineno)

@@ -64,7 +64,7 @@ class GroupTooLargeForAut(LinhypError):
 # --- hypermap construction and validation -----------------------------------
 
 class DegenerateHypermap(LinhypError):
-    """Flag set too small, or a flag involution is broken at construction."""
+    """Too few flags, a broken flag involution, or a degenerate hypergraph."""
 
 
 class InvalidHypermap(LinhypError):

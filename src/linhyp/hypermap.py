@@ -3,10 +3,20 @@
 A hypermap is given by three involutions r0, r1, r2 on the flags.  Orbits of
 <r1,r2> are the flags around a vertex, orbits of <r0,r2> the flags around a
 hyperedge, orbits of <r0,r1> the flags around a hyperface.  Validation
-checks, besides the structural basics, that the vertex and hyperedge
-stabilizers meet only in <r2> and that the two product sets H*K and K*H cut
-out exactly H union K on every flag orbit; together these force the
-underlying hypergraph to be linear.
+checks, besides the structural basics, two conditions on the stabilizers
+H = <r1,r2> and K = <r0,r2>, and lists neither:
+
+- H and K meet only in <r2>.  <a,r2> is the 2N distinct elements rho^i,
+  r2*rho^i, with rho = a*r2 of order N (powers of rho keep the two alternate
+  flag classes of each orbit; fixed-point-free r2 swaps them).  r2*rho^i is
+  in the other group exactly when rho^i is, so |H & K| is twice the number
+  of powers of one rho found in the other group.
+- HK(phi) & KH(phi) = H(phi) | K(phi) at every flag phi.  With v and e the
+  vertex and hyperedge of phi, HK(phi) is the union of the hyperedges that
+  meet v and KH(phi) that of the vertices that meet e.  A flag outside
+  v | e lies in both exactly when its vertex v' != v meets e and its
+  hyperedge e' != e meets v, that is when {v, v'} lies in two hyperedges:
+  the product condition is linearity, read at each flag.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
+from operator import itemgetter
 
 from .errors import (
     DegenerateHypermap,
@@ -174,19 +185,24 @@ def _orbit_partition(n: int, perms: list[Permutation]) -> list[tuple[int, ...]]:
     return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda t: t[0])
 
 
-def _perm_subgroup(n: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """All elements of the permutation group generated by image tuples."""
-    ident = tuple(range(n))
-    seen = {ident}
-    queue = [ident]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y = tuple(g[i] for i in x)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return sorted(seen)
+def _rotations(a: Permutation, b: Permutation, half: int):
+    """Yield the ``half`` powers of ``rho = a*b`` as image tuples."""
+    x = tuple(range(len(a.images)))
+    then_rho = itemgetter(*(a * b).images)
+    for _ in range(half):
+        yield x
+        x = then_rho(x)
+
+
+def _incidence(cells: CellStructure) -> tuple[dict[int, int], LinearHypergraph]:
+    """Each flag's vertex id (1.., in cell order), and the hypergraph of
+    the vertex sets that the hyperedge cells meet."""
+    vertex_of = {flag: vid for vid, orbit in enumerate(cells.vertices, start=1)
+                 for flag in orbit}
+    return vertex_of, LinearHypergraph(
+        tuple(range(1, len(cells.vertices) + 1)),
+        tuple(frozenset(vertex_of[flag] for flag in orbit)
+              for orbit in cells.hyperedges))
 
 
 # --- validation ----------------------------------------------------------------
@@ -194,13 +210,13 @@ def _perm_subgroup(n: int, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]
 
 def validate_hypermap(h: FlagHypermap) -> ValidationReport:
     """Check the full flag-level definition once; failures become report
-    entries.  The report is stored on ``h`` and returned by later calls.
+    entries.  The report and the three cell partitions are stored on ``h``;
+    later calls return the stored report.
 
     The one exception raised is ``GroupTooLarge``, when ``<r1,r2>`` or
-    ``<r0,r2>`` has more elements than the closure cap.  Two involutions
-    generate a dihedral group of order ``2*ord(ab)``, and ``ab`` has order
-    the lcm of the half-lengths of the ``<a,b>``-orbits, so the order is
-    known before any element is enumerated.  (A malformed cap variable is
+    ``<r0,r2>`` has more elements than the closure cap.  ``<a,b>`` has
+    order ``2*ord(ab)``, the lcm of the half-lengths of its orbits doubled,
+    known before any element is listed.  (A malformed cap variable is
     ``BadEnvironment``, as everywhere the cap is read.)
     """
     if h._report is not None:
@@ -224,39 +240,51 @@ def validate_hypermap(h: FlagHypermap) -> ValidationReport:
         "transitive", transitive,
         "" if transitive else f"{len(orbits)} monodromy orbits"))
 
+    cells = CellStructure(
+        vertices=tuple(_orbit_partition(n, [h.r1, h.r2])),
+        hyperedges=tuple(_orbit_partition(n, [h.r0, h.r2])),
+        hyperfaces=tuple(_orbit_partition(n, [h.r0, h.r1])),
+    )
     cap = closure_cap()
-    for name, a in (("<r1,r2>", h.r1), ("<r0,r2>", h.r0)):
-        order = 2 * lcm(*(len(o) // 2 for o in _orbit_partition(n, [a, h.r2])))
-        if order > cap:
-            raise GroupTooLarge(f"{name} has {order} elements, over the cap "
+    walks = []
+    for name, a, cell in (("<r1,r2>", h.r1, cells.vertices),
+                          ("<r0,r2>", h.r0, cells.hyperedges)):
+        half = lcm(*(len(o) // 2 for o in cell))
+        if 2 * half > cap:
+            raise GroupTooLarge(f"{name} has {2 * half} elements, over the cap "
                                 f"of {cap} ({CLOSURE_CAP_ENV})")
-    hsub = _perm_subgroup(n, [h.r1.images, h.r2.images])
-    ksub = _perm_subgroup(n, [h.r0.images, h.r2.images])
-    expected = sorted({tuple(range(n)), h.r2.images})
-    inter = sorted(set(hsub) & set(ksub))
-    cond1 = inter == expected
+        walks.append((a, h.r2, half))
+    small, large = sorted(walks, key=lambda w: w[2])
+    rotations = set(_rotations(*small))
+    members = rotations | set(map(itemgetter(*h.r2.images), rotations))
+    meet = 2 * sum(x in members for x in _rotations(*large))
     checks.append(CheckResult(
-        "stabilizer-intersection", cond1,
-        "" if cond1 else
-        f"<r1,r2> meets <r0,r2> in {len(inter)} elements, expected 2"))
+        "stabilizer-intersection", meet == 2,
+        "" if meet == 2 else
+        f"<r1,r2> meets <r0,r2> in {meet} elements, expected 2"))
 
-    cond2, detail = _product_condition_all_flags(n, hsub, ksub)
-    checks.append(CheckResult("product-intersection", cond2, detail))
+    bad = _product_failure(cells)
+    checks.append(CheckResult(
+        "product-intersection", bad is None,
+        "" if bad is None else f"product condition fails at flag {bad}"))
 
+    h._cells = cells
     h._report = ValidationReport(tuple(checks))
     return h._report
 
 
-def _product_condition_all_flags(n, hsub, ksub) -> tuple[bool, str]:
-    """Pointwise product-set condition, checked for every flag."""
-    for phi in range(n):
-        h_orbit = {g[phi] for g in hsub}
-        k_orbit = {g[phi] for g in ksub}
-        hk = {k[x] for x in h_orbit for k in ksub}
-        kh = {g[x] for x in k_orbit for g in hsub}
-        if hk & kh != h_orbit | k_orbit:
-            return False, f"product condition fails at flag {phi + 1}"
-    return True, ""
+def _product_failure(cells: CellStructure) -> int | None:
+    """The least flag whose vertex shares two hyperedges with a vertex of
+    its hyperedge, where the product condition fails; None if none does."""
+    vertex_of, hg = _incidence(cells)
+    partners: dict[int, set[int]] = {}
+    for u, w in hg.linearity_violations():
+        partners.setdefault(u, set()).add(w)
+        partners.setdefault(w, set()).add(u)
+    return min((flag for orbit, edge in zip(cells.hyperedges, hg.hyperedges)
+                for flag in orbit
+                if not edge.isdisjoint(partners.get(vertex_of[flag], ()))),
+               default=None)
 
 
 # --- cell-level operations -----------------------------------------------------
@@ -265,33 +293,21 @@ def _product_condition_all_flags(n, hsub, ksub) -> tuple[bool, str]:
 def extract_cells(h: FlagHypermap) -> CellStructure:
     """The vertex / hyperedge / hyperface orbit partitions."""
     h.require_valid()
-    if h._cells is None:
-        h._cells = CellStructure(
-            vertices=tuple(_orbit_partition(h.flag_count, [h.r1, h.r2])),
-            hyperedges=tuple(_orbit_partition(h.flag_count, [h.r0, h.r2])),
-            hyperfaces=tuple(_orbit_partition(h.flag_count, [h.r0, h.r1])),
-        )
     return h._cells
 
 
 def underlying_hypergraph(h: FlagHypermap) -> LinearHypergraph:
     """Hyperedges as sets of incident vertices, with linearity re-verified."""
-    cells = extract_cells(h)
-    vertex_of_flag = {}
-    for vid, orbit in enumerate(cells.vertices, start=1):
-        for flag in orbit:
-            vertex_of_flag[flag] = vid
-    edges = tuple(
-        frozenset(vertex_of_flag[flag] for flag in orbit)
-        for orbit in cells.hyperedges)
-    hg = LinearHypergraph(tuple(range(1, len(cells.vertices) + 1)), edges)
+    _, hg = _incidence(extract_cells(h))
     bad = hg.linearity_violations()
     if bad:
         raise LinearityViolation(
             f"vertex pair {bad[0]} lies in two hyperedges of a validated hypermap")
-    if len(edges) < 2 or any(len(e) < 2 for e in edges):
-        raise LinearityViolation(
-            "validated hypermap produced a degenerate hypergraph")
+    for eid, edge in enumerate(hg.hyperedges, start=1):
+        if len(hg.hyperedges) < 2 or len(edge) < 2:
+            raise DegenerateHypermap(
+                f"hyperedge {eid} of {len(hg.hyperedges)} meets {len(edge)} "
+                "vertex(es); two hyperedges of two vertices are required")
     return hg
 
 

@@ -146,6 +146,16 @@ def test_flag_file_errors(tmp_path):
         load_flag_hypermap(bad)
 
 
+def test_flag_file_unknown_key(tmp_path):
+    bad = tmp_path / "extra.flags"
+    bad.write_text("flags: 6\nr0: (1 5)(2 4)(3 6)\nr1: (1 5)(2 3)(4 6)\n"
+                   "r2: (1 4)(2 6)(3 5)\nr3: (1 2)\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="unknown key 'r3'") as info:
+        load_flag_hypermap(bad)
+    assert info.value.line == 5
+    assert main(["validate-flags", "--flags", str(bad)]) == 1
+
+
 @pytest.mark.parametrize("count", ["99999999999", "0", "\u00b2"])
 def test_flag_count_checked_before_allocation(tmp_path, count):
     bad = tmp_path / "huge.flags"

@@ -3,6 +3,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torus_fixture import (
     build_torus_hypermap,
@@ -26,7 +28,7 @@ from linhyp.hypermap import (
     underlying_hypergraph,
     validate_hypermap,
 )
-from linhyp.permgroup import parse_cycles
+from linhyp.permgroup import Permutation, parse_cycles
 from linhyp.regular import RegularLinearHypermap, triple_from_words
 
 
@@ -113,23 +115,94 @@ def test_disconnected_flags_fail_transitivity():
     assert not h.validate().check("transitive").passed
 
 
-def test_pointwise_condition_agrees_with_one_flag_per_orbit(torus, s4):
-    # on a transitive hypermap, checking one flag must agree with checking all
-    from linhyp.hypermap import _perm_subgroup, _product_condition_all_flags
+def _bfs_subgroup(gens):
+    """Every element of the group generated by image tuples, by closure."""
+    ident = tuple(range(len(gens[0])))
+    seen, queue = {ident}, [ident]
+    for x in queue:
+        for g in gens:
+            y = tuple(g[i] for i in x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
 
-    for h in (torus, _regular_flags(s4, "(1 3);(1 2);(3 4)")):
-        n = h.flag_count
-        hsub = _perm_subgroup(n, [h.r1.images, h.r2.images])
-        ksub = _perm_subgroup(n, [h.r0.images, h.r2.images])
-        all_flags, _ = _product_condition_all_flags(n, hsub, ksub)
 
-        phi = 0
+def _subgroup_checks_by_definition(h):
+    """Verdict and detail of both subgroup conditions, from |H & K| and from
+    HK(phi) & KH(phi) = H(phi) | K(phi) tested at every flag phi."""
+    hsub = _bfs_subgroup([h.r1.images, h.r2.images])
+    ksub = _bfs_subgroup([h.r0.images, h.r2.images])
+    meet = len(hsub & ksub)
+    stab = (meet == 2, "" if meet == 2 else
+            f"<r1,r2> meets <r0,r2> in {meet} elements, expected 2")
+    for phi in range(h.flag_count):
         h_orbit = {g[phi] for g in hsub}
         k_orbit = {g[phi] for g in ksub}
         hk = {k[x] for x in h_orbit for k in ksub}
         kh = {g[x] for x in k_orbit for g in hsub}
-        one_flag = hk & kh == h_orbit | k_orbit
-        assert all_flags == one_flag
+        if hk & kh != h_orbit | k_orbit:
+            return stab, (False, f"product condition fails at flag {phi + 1}")
+    return stab, (True, "")
+
+
+def _assert_subgroup_checks_match_definition(h):
+    report = validate_hypermap(FlagHypermap(h.r0, h.r1, h.r2))
+    got = tuple((report.check(name).passed, report.check(name).detail)
+                for name in ("stabilizer-intersection", "product-intersection"))
+    assert got == _subgroup_checks_by_definition(h)
+
+
+def _flags_from_cycles(n, *words):
+    return FlagHypermap(*(parse_cycles(w, n) for w in words))
+
+
+def test_subgroup_checks_match_the_definition(torus, s4):
+    _assert_subgroup_checks_match_definition(torus)
+    _assert_subgroup_checks_match_definition(
+        _regular_flags(s4, "(1 3);(1 2);(3 4)"))
+    klein = _flags_from_cycles(4, "(1 2)(3 4)", "(1 3)(2 4)", "(1 4)(2 3)")
+    _assert_subgroup_checks_match_definition(klein)
+    # transitive, stabilisers meeting in <r2>, product condition failing at
+    # flag 2: two hyperedges share a pair of vertices
+    twelve = _flags_from_cycles(12, "(1 8)(2 6)(3 7)(4 10)(5 12)(9 11)",
+                                "(1 5)(2 3)(4 9)(6 7)(8 10)(11 12)",
+                                "(1 8)(2 4)(3 9)(5 6)(7 11)(10 12)")
+    report = validate_hypermap(twelve)
+    assert report.check("stabilizer-intersection").passed
+    assert report.check("product-intersection").detail == (
+        "product condition fails at flag 2")
+    _assert_subgroup_checks_match_definition(twelve)
+
+
+@st.composite
+def _involution_triples(draw):
+    """Three fixed-point-free involutions on 4..24 flags; r0 is sometimes
+    r1 with two 2-cycles exchanged, so that near-misses are common."""
+    rng = draw(st.randoms(use_true_random=True))
+    n = 2 * rng.randint(2, 12)
+
+    def matching():
+        order = rng.sample(range(n), n)
+        images = [0] * n
+        for a, b in zip(order[::2], order[1::2]):
+            images[a], images[b] = b, a
+        return images
+
+    r0, r1, r2 = matching(), matching(), matching()
+    if rng.random() < 0.3:
+        r0 = list(r1)
+        a, b = rng.randrange(n), rng.randrange(n)
+        a2, b2 = r0[a], r0[b]
+        if len({a, a2, b, b2}) == 4:
+            r0[a], r0[a2], r0[b], r0[b2] = b, b2, a, a2
+    return FlagHypermap(*(Permutation(r) for r in (r0, r1, r2)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_involution_triples())
+def test_subgroup_checks_match_the_definition_on_random_triples(h):
+    _assert_subgroup_checks_match_definition(h)
 
 
 # --- cells ---------------------------------------------------------------------
@@ -307,8 +380,8 @@ def test_each_flag_hypermap_is_validated_once(monkeypatch, capsys, data_dir):
     from linhyp.cli import main
 
     calls = []
-    original = hm._product_condition_all_flags
-    monkeypatch.setattr(hm, "_product_condition_all_flags",
+    original = hm._product_failure
+    monkeypatch.setattr(hm, "_product_failure",
                         lambda *a: calls.append(a) or original(*a))
     h = load_flag_hypermap(data_dir / "torus9.flags")
     report = validate_hypermap(h)
@@ -327,11 +400,12 @@ def test_each_flag_hypermap_is_validated_once(monkeypatch, capsys, data_dir):
     assert len(calls) == 1
 
 
-def _hostile_flags(path):
-    """200 flags whose <r1,r2>-orbits are alternating cycles of half-lengths
-    2, 3, 5, ..., 23, so |<r1,r2>| = 2 * lcm = 446185740."""
+def _hostile_flags(path, halves=(2, 3, 5, 7, 11, 13, 17, 19, 23)):
+    """Flags whose <r1,r2>-orbits are alternating cycles of the given
+    half-lengths, so |<r1,r2>| = 2 * lcm(halves); by default 200 flags and
+    |<r1,r2>| = 446185740.  The flag count must be a multiple of 4."""
     r1, r2, start = [], [], 1
-    for half in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+    for half in halves:
         p = range(start, start + 2 * half)
         r1 += [(p[2 * i], p[2 * i + 1]) for i in range(half)]
         r2 += [(p[2 * i + 1], p[(2 * i + 2) % (2 * half)]) for i in range(half)]
@@ -372,3 +446,46 @@ def test_stabiliser_bound_is_the_closure_cap(monkeypatch, torus):
         validate_hypermap(FlagHypermap(torus.r0, torus.r1, torus.r2))
     monkeypatch.setenv("LHM_MAX_GROUP_ORDER", "6")
     assert validate_hypermap(FlagHypermap(torus.r0, torus.r1, torus.r2)).ok
+
+
+def test_stabiliser_meet_walks_without_listing_the_larger_stabiliser(tmp_path):
+    # |<r1,r2>| = 2 * lcm(8, 9, 5, 7, 11) = 55440 on 400 flags: listing it
+    # as image tuples needs about 180 MB, more than the child may map
+    import resource
+    import subprocess
+    import sys
+
+    limit = 200 * 2**20
+    path = _hostile_flags(tmp_path / "wide.flags", (8, 9, 5, 7, 11) + (1,) * 160)
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "linhyp.cli", "validate-flags", "--flags",
+         str(path)], capture_output=True, text=True, timeout=120,
+        preexec_fn=cap_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert ("stabilizer-intersection: FAIL  <r1,r2> meets <r0,r2> in 4 "
+            "elements, expected 2") in proc.stdout.splitlines()
+
+
+SIX_FLAGS = ("flags: 6\nr0: (1 5)(2 4)(3 6)\nr1: (1 5)(2 3)(4 6)\n"
+             "r2: (1 4)(2 6)(3 5)\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (SIX_FLAGS, r"hyperedge 1 of 1 meets 1 vertex\(es\)"),
+    ("flags: 6\nr0: (1 5)(2 4)(3 6)\nr1: (1 4)(2 3)(5 6)\n"
+     "r2: (1 4)(2 5)(3 6)\n", r"hyperedge 2 of 2 meets 1 vertex\(es\)"),
+])
+def test_degenerate_hypergraph_of_a_valid_file_is_an_input_error(
+        tmp_path, text, message):
+    from linhyp.catalog import load_flag_hypermap
+
+    path = tmp_path / "degenerate.flags"
+    path.write_text(text, encoding="utf-8")
+    h = load_flag_hypermap(path)
+    assert validate_hypermap(h).ok
+    with pytest.raises(DegenerateHypermap, match=message):
+        underlying_hypergraph(h)
