@@ -16,7 +16,8 @@ Admissibility itself is coded once, in :mod:`linhyp.regular`, as a lazy
 stream of checks, cheapest first; the scan and the brute-force
 ``admissible_triples`` oracle each share one memo of pair subgroups and
 product verdicts per group and drop a triple at its first failed check.
-Each class is built from its checked key without a second check.
+Each class is built from its checked key without a second check, reading
+its vertex and hyperedge stabilisers and its orientability from the memo.
 
 ``Aut(G)`` comes from :func:`~linhyp.permgroup.automorphism_group`, which
 matches Cayley codes of generator images and keeps the 2048-element cap.
@@ -134,7 +135,7 @@ def classify(group: FiniteGroup, group_name: str = "",
                                        involutions(group)):
         if not all(c.passed for c in _conditions(group, *key, memo)):
             continue
-        hm = RegularLinearHypermap._of(InvolutionTriple(group, *key))
+        hm = RegularLinearHypermap._of(InvolutionTriple(group, *key), memo)
         classes.append(ClassifiedHypermap(
             hypermap=hm,
             canonical_key=key,

@@ -25,7 +25,7 @@ from .permgroup import (
     involutions,
     parse_cycles,
 )
-from .regular import InvolutionTriple, MSequence, RegularLinearHypermap
+from .regular import InvolutionTriple, MSequence, RegularLinearHypermap, _span
 
 
 # --- dihedral families ---------------------------------------------------------
@@ -223,7 +223,7 @@ def _is_simple_platonic(t: RegularMapTriple) -> bool:
     return (g.element_order(g.mul(t.r0, t.r1)) == p
             and g.element_order(g.mul(t.r0, t.r2)) == 2
             and g.element_order(g.mul(t.r1, t.r2)) == q
-            and g.subgroup_bits(t.indices).bit_count() == g.order
+            and _span(g, *t.indices, {}) == g.order
             and simple_graph_check(t))
 
 

@@ -4,17 +4,22 @@ When the three flag involutions generate a group acting regularly on the
 flags, the flags can be identified with the group elements and everything
 becomes index arithmetic: the triple (r0, r1, r2) determines vertex,
 hyperedge and hyperface stabilizers H = <r1,r2>, K = <r0,r2>, L = <r0,r1>,
-and the whole invariant vector of the hypermap follows from subgroup sizes
-and element orders.
+and the whole invariant vector of the hypermap follows from element orders
+(see ``m_sequence``) and from one closure, of the rotation subgroup
+E = <r0r2, r1r2>.  E holds the words of even length in r0, r1, r2, since
+r_i r_j = (r_i r2)(r_j r2)^-1, and it is normal in <r0, r1, r2> = E u r0E,
+so it has index 1 or 2 there: the triple spans |E| elements when r0 is in
+E and 2|E| when it is not, and a generating triple is orientable exactly
+when r0 is not in E.
 
 Admissibility is coded once, in ``_conditions``: the two subgroup
-conditions ``H & K = <r2>`` and ``HK & KH = H | K``, then generation of
-the whole group.  It yields the checks cheapest first, because the
+conditions ``H & K = <r2>`` and ``HK & KH = H | K``, then generation from
+the closure of E.  It yields the checks cheapest first, because the
 subgroup conditions need only the two pair subgroups, which a caller
-checking many triples of one group shares through its memo, while
-generation is a closure over the whole group.  ``validate_regular`` runs
-it to the end; ``classify`` and ``admissible_triples`` stop at the first
-failure.
+checking many triples of one group shares through its memo.
+``validate_regular`` runs it to the end; ``classify`` and
+``admissible_triples`` stop at the first failure.  A hypermap is built
+from the memo its check filled, so H, K and E are not closed again.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ from .errors import (
     DichotomyViolated,
     GroupMismatch,
     IndexOutOfRange,
-    InternalCheckFailed,
     InvalidHypermap,
     InvalidTriple,
     ParseError,
@@ -38,7 +42,6 @@ from .permgroup import (
     FiniteGroup,
     Permutation,
     automorphism_group,
-    generated_subgroup,
     normal_core,
     parse_cycles,
 )
@@ -130,10 +133,10 @@ def _conditions(group: FiniteGroup, r0: int, r1: int, r2: int,
     """The admissibility checks of ``(r0, r1, r2)``, cheapest first.
 
     ``memo`` is owned by the caller and shared across triples of one
-    group: it keeps each pair subgroup under its sorted index pair and,
-    under ``("HK", H, K)`` for the sorted bitset pair, the elements of
-    ``HK & KH`` outside ``H | K``.  A failed check names the least such
-    element in its detail.
+    group: it keeps each pair subgroup (H, K and E) under its sorted
+    index pair and, under ``("HK", H, K)`` for the sorted bitset pair, the
+    elements of ``HK & KH`` outside ``H | K``.  A failed check names the
+    least such element in its detail.
     """
     h = _pair_bits(group, r1, r2, memo)
     k = _pair_bits(group, r0, r2, memo)
@@ -155,7 +158,7 @@ def _conditions(group: FiniteGroup, r0: int, r1: int, r2: int,
         "HK and KH overlap beyond H union K; least outside H union K: "
         + _least_word(group, extra))
 
-    span = group.subgroup_bits((r0, r1, r2)).bit_count()
+    span = _span(group, r0, r1, r2, memo)
     yield CheckResult(
         "generates", span == group.order,
         "" if span == group.order else
@@ -170,21 +173,49 @@ def _pair_bits(group: FiniteGroup, a: int, b: int, memo: dict) -> int:
     return bits
 
 
+def _rotation_bits(group: FiniteGroup, r0: int, r1: int, r2: int,
+                   memo: dict) -> int:
+    """The rotation subgroup ``E = <r0r2, r1r2>`` as a bitset.
+
+    Any two of r1r2, r0r2 and r0r1 generate E, and the closure takes one
+    step per coset of its first seed's cyclic group, so the seeds lead with
+    the rotation of largest order.
+    """
+    a, b = group.mul(r0, r2), group.mul(r1, r2)
+    key = (a, b) if a < b else (b, a)
+    bits = memo.get(key)
+    if bits is None:
+        bits = memo[key] = group.subgroup_bits(sorted(
+            (a, b, group.mul(r0, r1)), key=group.element_order, reverse=True))
+    return bits
+
+
+def _span(group: FiniteGroup, r0: int, r1: int, r2: int, memo: dict) -> int:
+    """``|<r0, r1, r2>|`` from the one closure of E, which has index 1 or 2:
+    ``|E|`` when r0 lies in E, ``2|E|`` when it does not."""
+    e = _rotation_bits(group, r0, r1, r2, memo)
+    return e.bit_count() if e >> r0 & 1 else 2 * e.bit_count()
+
+
 def validate_regular(t: InvolutionTriple) -> ValidationReport:
-    """Generation plus the two subgroup conditions, as report entries."""
-    checks = {c.name: c for c in _conditions(t.group, *t.indices, {})}
+    """Generation plus the two subgroup conditions, as report entries,
+    with the memo the checks filled."""
+    memo: dict = {}
+    checks = {c.name: c for c in _conditions(t.group, *t.indices, memo)}
     return ValidationReport(tuple(checks[name] for name in (
-        "generates", "stabilizer-intersection", "product-intersection")))
+        "generates", "stabilizer-intersection", "product-intersection")),
+        memo)
 
 
 @dataclass(frozen=True)
 class RegularLinearHypermap:
-    """A validated triple with its cached stabilizer subgroups."""
+    """A validated triple with its stabilizer subgroups and orientability."""
 
     triple: InvolutionTriple
     vertex_stabilizer: ElementSet = field(repr=False)
     hyperedge_stabilizer: ElementSet = field(repr=False)
     hyperface_stabilizer: ElementSet = field(repr=False)
+    orientable: bool = field(repr=False)
 
     @classmethod
     def from_triple(cls, t: InvolutionTriple) -> RegularLinearHypermap:
@@ -193,18 +224,20 @@ class RegularLinearHypermap:
             raise InvalidHypermap(
                 "triple is not a regular linear hypermap: "
                 + report.failed_summary())
-        return cls._of(t)
+        return cls._of(t, report.memo)
 
     @classmethod
-    def _of(cls, t: InvolutionTriple) -> RegularLinearHypermap:
+    def _of(cls, t: InvolutionTriple, memo: dict) -> RegularLinearHypermap:
         """The hypermap of a triple already known to be admissible: the one
-        place that builds the stabilizers, and it does not check."""
-        g = t.group
+        place that builds the stabilizers, and it does not check.  H, K and
+        E come from the ``memo`` of that check; L is the one new closure."""
+        g, (r0, r1, r2) = t.group, t.indices
         return cls(
             triple=t,
-            vertex_stabilizer=generated_subgroup(g, [t.r1, t.r2]),
-            hyperedge_stabilizer=generated_subgroup(g, [t.r0, t.r2]),
-            hyperface_stabilizer=generated_subgroup(g, [t.r0, t.r1]),
+            vertex_stabilizer=ElementSet(g, _pair_bits(g, r1, r2, memo)),
+            hyperedge_stabilizer=ElementSet(g, _pair_bits(g, r0, r2, memo)),
+            hyperface_stabilizer=ElementSet(g, g.subgroup_bits((r0, r1))),
+            orientable=not _rotation_bits(g, r0, r1, r2, memo) >> r0 & 1,
         )
 
     @property
@@ -231,38 +264,22 @@ class RegularLinearHypermap:
 
 
 def m_sequence(m: RegularLinearHypermap) -> MSequence:
-    """Type from element orders, cell counts from subgroup indices."""
-    g = m.group
-    t = m.triple
+    """The invariant vector from element orders: the type (k, m, n) is the
+    orders of r1r2, r0r2 and r0r1, and two distinct involutions generate a
+    dihedral group of twice the order of their product, so |H| = 2k,
+    |K| = 2m, |L| = 2n and the cells number |G|/2k, |G|/2m and |G|/2n."""
+    g, t = m.group, m.triple
     k = g.element_order(g.mul(t.r1, t.r2))
     mm = g.element_order(g.mul(t.r0, t.r2))
     n = g.element_order(g.mul(t.r0, t.r1))
-    v = g.order // len(m.vertex_stabilizer)
-    e = g.order // len(m.hyperedge_stabilizer)
-    f = g.order // len(m.hyperface_stabilizer)
-    ori = _orientable(m)
+    v, e, f = (g.order // (2 * x) for x in (k, mm, n))
     chi = v + e + f - g.order // 2
     return MSequence(
-        genus=genus_from_euler(chi, ori),
+        genus=genus_from_euler(chi, m.orientable),
         k=k, m=mm, n=n,
         vertices=v, hyperedges=e, hyperfaces=f,
-        flags=g.order, orientable=ori,
+        flags=g.order, orientable=m.orientable,
     )
-
-
-def _orientable(m: RegularLinearHypermap) -> bool:
-    """Orientable iff the rotation subgroup <r0r2, r1r2> has index 2."""
-    g = m.group
-    t = m.triple
-    even = generated_subgroup(g, [g.mul(t.r0, t.r2), g.mul(t.r1, t.r2)])
-    index = g.order // len(even)
-    if index == 2:
-        return True
-    if index == 1:
-        return False
-    raise InternalCheckFailed(
-        f"rotation subgroup has index {index}; a validated hypermap "
-        "admits only 1 or 2")
 
 
 def dual(m: RegularLinearHypermap) -> RegularLinearHypermap:
@@ -276,7 +293,9 @@ def dual(m: RegularLinearHypermap) -> RegularLinearHypermap:
     :mod:`linhyp.constructions`, which all check admissibility.  The
     stabilizers are m's own: the dual's vertex stabilizer <r0,r2> is m's
     hyperedge stabilizer and vice versa, and <r0,r1> stays the hyperface
-    stabilizer, so no subgroup is closed again.
+    stabilizer, so no subgroup is closed again.  The swapped triple has the
+    same E, and r1 lies in it exactly when r0 does, so orientability too
+    carries over.
     """
     t = m.triple
     return RegularLinearHypermap(
@@ -284,6 +303,7 @@ def dual(m: RegularLinearHypermap) -> RegularLinearHypermap:
         vertex_stabilizer=m.hyperedge_stabilizer,
         hyperedge_stabilizer=m.vertex_stabilizer,
         hyperface_stabilizer=m.hyperface_stabilizer,
+        orientable=m.orientable,
     )
 
 

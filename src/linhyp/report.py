@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -19,6 +19,9 @@ class ValidationReport:
     ``GroupTooLarge`` for a flag stabiliser over the closure cap."""
 
     checks: tuple[CheckResult, ...]
+    # the subgroups the checks closed, for a caller that builds on them;
+    # not part of the report's value
+    memo: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
-import pytest
+import functools
+from collections import deque
 
-from linhyp.classify import admissible_triples
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from test_classify import random_generators
+
+from linhyp.classify import admissible_triples, classify
 from linhyp.errors import (
     GroupMismatch,
     InvalidHypermap,
@@ -11,8 +17,10 @@ from linhyp.errors import (
 )
 from linhyp.hypermap import extract_cells, surface_invariant
 from linhyp.permgroup import (
+    Permutation,
     closure,
     generated_subgroup,
+    involutions,
     parse_cycles,
     product_set,
 )
@@ -293,3 +301,106 @@ def test_round_trip_cell_counts_match_subgroup_indices(a5xz2):
     assert len(cells.vertices) == g.order // len(m.vertex_stabilizer)
     assert len(cells.hyperedges) == g.order // len(m.hyperedge_stabilizer)
     assert len(cells.hyperfaces) == g.order // len(m.hyperface_stabilizer)
+
+
+# --- one rotation closure ------------------------------------------------------------
+
+_ORACLE_GROUPS = {
+    "s4": (["(1 2)", "(1 2 3 4)"], 4),
+    "a5xz2": (["(1 2 3 4 5)", "(1 2 3)", "(6 7)"], 7),
+    "psl27": (["(1 2 3 4 5 6 7)", "(1 2)(3 6)"], 7),
+}
+
+
+@functools.cache
+def _named_group(name):
+    """A named group with its brute-force admissible triples."""
+    words, degree = _ORACLE_GROUPS[name]
+    group = closure([parse_cycles(w, degree) for w in words])
+    return group, list(admissible_triples(group))
+
+
+def _two_colourable(group, gens):
+    """Oracle: whether colouring the Cayley graph on ``gens`` breadth first
+    from the identity gives the two ends of every edge different colours."""
+    colour = {0: 0}
+    frontier = deque([0])
+    while frontier:
+        x = frontier.popleft()
+        for s in gens:
+            y = group.mul(x, s)
+            if y not in colour:
+                colour[y] = 1 - colour[x]
+                frontier.append(y)
+            elif colour[y] == colour[x]:
+                return False
+    return True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(_ORACLE_GROUPS)) | random_generators, st.data())
+def test_rotation_closure_matches_independent_oracles(source, data):
+    if isinstance(source, str):
+        group, admissible = _named_group(source)
+    else:
+        group, admissible = closure([Permutation(p) for p in source]), []
+    invs = involutions(group)
+    assume(len(invs) >= 3)
+    if admissible and data.draw(st.booleans()):
+        t = data.draw(st.sampled_from(admissible))
+    else:
+        t = InvolutionTriple(group, *data.draw(st.lists(
+            st.sampled_from(invs), min_size=3, max_size=3, unique=True)))
+    report = validate_regular(t)
+    span = group.subgroup_bits(t.indices).bit_count()
+    check = report.check("generates")
+    assert check.passed == (span == group.order)
+    assert check.detail == ("" if check.passed else
+                            f"triple generates a subgroup of order {span} "
+                            f"< {group.order}")
+    # r0 lies outside <r0r2, r1r2> exactly when <r0,r1,r2> is 2-colourable
+    m = RegularLinearHypermap._of(t, report.memo)
+    assert m.orientable == _two_colourable(group, t.indices)
+    if report.ok:
+        ms = RegularLinearHypermap.from_triple(t).m_sequence()
+        r0, r1, r2 = t.indices
+        assert ms.orientable == m.orientable
+        assert (ms.vertices, ms.hyperedges, ms.hyperfaces) == tuple(
+            group.order // group.subgroup_bits(pair).bit_count()
+            for pair in ((r1, r2), (r0, r2), (r0, r1)))
+
+
+def test_each_triple_closes_its_rotation_subgroup_once(monkeypatch, a5xz2):
+    a7 = closure([parse_cycles(w, 7) for w in ("(1 2 3 4 5 6 7)", "(1 2 3)")])
+    t = triple_from_words(a7, "(2 5)(3 4);(1 5)(6 7);(1 4)(3 6)")
+    r0, r1, r2 = t.indices
+    rotations = (a7.mul(r0, r2), a7.mul(r1, r2), a7.mul(r0, r1))
+    calls = []
+    original = type(a7).subgroup_bits
+    monkeypatch.setattr(type(a7), "subgroup_bits",
+                        lambda self, seeds: calls.append(tuple(sorted(seeds)))
+                        or original(self, seeds))
+    m = RegularLinearHypermap.from_triple(t)
+    assert sorted(calls) == sorted(
+        tuple(sorted(pair))
+        for pair in ((r1, r2), (r0, r2), rotations, (r0, r1)))
+
+    calls.clear()
+    assert str(m.m_sequence()) == "[317;3,4,6;420,315,210;2520]"
+    assert str(m.dual().m_sequence()) == "[317;4,3,6;315,420,210;2520]"
+    assert calls == []
+
+    # classify reads H, K and E from its scan's memo: L is the one closure
+    built = []
+    original_of = RegularLinearHypermap._of.__func__
+
+    def of(cls, t, memo):
+        before = len(calls)
+        hm = original_of(cls, t, memo)
+        built.append(calls[before:])
+        return hm
+
+    monkeypatch.setattr(RegularLinearHypermap, "_of", classmethod(of))
+    result = classify(a5xz2, "a5xz2")
+    assert built == [[tuple(sorted(c.canonical_key[:2]))]
+                     for c in result.classes]
