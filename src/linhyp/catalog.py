@@ -29,10 +29,10 @@ Flag-hypermap files (``*.flags``) are::
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
+from ._frozen import dataclass, field
 from .errors import DuplicateName, LinhypError, ParseError
 from .hypermap import FlagHypermap
 from .permgroup import (

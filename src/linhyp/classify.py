@@ -30,9 +30,9 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from ._frozen import dataclass, field
 from .errors import LinhypError
 from .permgroup import FiniteGroup, automorphism_group, involutions
 from .regular import (

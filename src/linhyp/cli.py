@@ -39,12 +39,15 @@ from .classify import (
     classify,
     genus_upper_bound,
 )
-from .constructions import PLATONIC_SCHLAFLI, FamilySpec, digon, medial
 from .errors import BadEnvironment, InternalCheckFailed, LinhypError
 from .hypermap import extract_cells, surface_invariant, validate_hypermap
 from .regular import MSequence, RegularLinearHypermap, triple_from_words
 
 USAGE_EXIT = 64
+
+# sorted(constructions.PLATONIC_SCHLAFLI), spelled out so that building the
+# parser does not load the family builders
+_SOLIDS = ("cube", "dodecahedron", "icosahedron", "octahedron", "tetrahedron")
 
 
 class _UsageError(Exception):
@@ -293,6 +296,7 @@ def _cmd_validate_flags(args) -> int:
 
 
 def _cmd_family(args) -> int:
+    from .constructions import FamilySpec, digon, medial
     started = time.perf_counter()
     if args.derive and args.family != "platonic":
         raise _UsageError("--derive only applies to --family platonic")
@@ -423,7 +427,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, help="parameter for z2xd2n")
     p.add_argument("--m", type=int, help="parameter for d2m")
     p.add_argument("--variant", choices=("m1", "m2"), default="m1")
-    p.add_argument("--solid", choices=tuple(sorted(PLATONIC_SCHLAFLI)))
+    p.add_argument("--solid", choices=_SOLIDS)
     p.add_argument("--derive", choices=("medial", "digon"))
     add_common(p)
     p.set_defaults(handler=_cmd_family)

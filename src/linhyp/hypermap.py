@@ -22,11 +22,11 @@ H = <r1,r2> and K = <r0,r2>, and lists neither:
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
 from operator import itemgetter
 
+from ._frozen import dataclass
 from .errors import (
     DegenerateHypermap,
     DegreeMismatch,

@@ -20,9 +20,9 @@ import struct
 import threading
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from ._frozen import dataclass
 from .errors import (
     BadEnvironment,
     DegreeMismatch,
@@ -42,6 +42,9 @@ if TYPE_CHECKING:
 
 DEFAULT_CLOSURE_CAP = 200_000
 CLOSURE_CAP_ENV = "LHM_MAX_GROUP_ORDER"
+# a closure keeps each element as a tuple of ``degree`` images, and may hold
+# this many images per element the cap allows: ``order * degree`` is bounded
+CLOSURE_IMAGES_PER_ELEMENT = 64
 TABLE_LIMIT = 4096
 DEFAULT_AUT_CAP = 2048
 # subgroup_bits sets the bits of a proper subgroup one shift-or at a time
@@ -464,7 +467,9 @@ def closure(generators: Sequence[Permutation],
     """Enumerate the group generated by ``generators``.
 
     ``max_order`` caps the element count (default 200000, overridable via
-    the ``LHM_MAX_GROUP_ORDER`` environment variable).
+    the ``LHM_MAX_GROUP_ORDER`` environment variable).  Each element is
+    kept as a tuple of ``degree`` images, so ``order * degree`` is capped
+    too, at ``64 * max_order`` (``CLOSURE_IMAGES_PER_ELEMENT``).
     """
     if not generators:
         raise ValueError("at least one generator is required")
@@ -473,6 +478,8 @@ def closure(generators: Sequence[Permutation],
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise DegreeMismatch("generators of mixed degree")
+    budget = CLOSURE_IMAGES_PER_ELEMENT * max_order
+    limit = min(max_order, budget // degree)
     gens = []
     for g in generators:
         if g not in gens:
@@ -485,9 +492,15 @@ def closure(generators: Sequence[Permutation],
         for g in gens:
             y = x * g
             if y.images not in seen:
-                if len(seen) + 1 > max_order:
+                if len(seen) >= limit:
+                    if limit == max_order:
+                        raise GroupTooLarge(f"closure exceeded the cap of "
+                                            f"{max_order} elements")
                     raise GroupTooLarge(
-                        f"closure exceeded the cap of {max_order} elements")
+                        f"closure of degree {degree} exceeded {limit} "
+                        f"elements, the budget of {budget} images "
+                        f"({CLOSURE_IMAGES_PER_ELEMENT} per element of the "
+                        f"cap of {max_order})")
                 seen[y.images] = y
                 queue.append(y)
     return FiniteGroup(seen.values(), gens)

@@ -25,9 +25,9 @@ from the memo its check filled, so H, K and E are not closed again.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Iterator
 
+from ._frozen import dataclass, field
 from .errors import (
     DichotomyViolated,
     GroupMismatch,

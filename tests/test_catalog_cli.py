@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -391,6 +392,27 @@ def test_lhm_never_imports_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_lhm_classify_loads_neither_constructions_nor_dataclasses(tmp_path):
+    # only ``lhm family`` needs the family builders, and the value classes
+    # are built without the dataclasses module
+    script = (
+        "import sys\n"
+        "preloaded = 'dataclasses' in sys.modules\n"
+        "import linhyp.cli\n"
+        "argv = ['classify', '--group', 'data/a5xz2.grp', '--out', sys.argv[1]]\n"
+        "assert linhyp.cli.main(argv) == 0\n"
+        "banned = {'numpy', 'linhyp.constructions'}\n"
+        "if not preloaded:\n"
+        "    banned.add('dataclasses')\n"
+        "loaded = sorted(banned & sys.modules.keys())\n"
+        "assert not loaded, loaded\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "a5xz2.json")],
+        cwd=REPO_ROOT, env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_file_sha256(data_dir):
     digest = file_sha256(data_dir / "s4.grp")
     assert digest.startswith("sha256:") and len(digest) == 71
@@ -506,6 +528,28 @@ def test_family_order_bound_is_the_closure_cap(monkeypatch, capsys):
     err = capsys.readouterr().err.splitlines()
     assert [line.split(" gives")[0] for line in err] == [
         "error: n = 11", "error: m = 24"]
+
+
+def test_family_over_the_image_budget_is_refused_at_once():
+    # order 40000 on 20000 points is under the order cap, but its closure
+    # would hold 8e8 images: refused up front, not by a MemoryError
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "linhyp.cli", "family", "--family", "d2m",
+         "--m", "20000"],
+        cwd=REPO_ROOT, env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, preexec_fn=limit_memory, timeout=60)
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 1, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: m = 20000 gives a group of order 40000 "
+                             "on 20000 points, over the budget of 12800000")
+    assert elapsed < 2.0
 
 
 _ALL_SUBCOMMANDS = [

@@ -288,3 +288,9 @@ def test_family_spec_dispatch():
         FamilySpec("z2xd2n").build()
     with pytest.raises(BadParameter):
         FamilySpec("moebius").build()
+
+
+def test_cli_solid_choices_are_the_platonic_solids():
+    # the parser spells them out so that it does not load this module
+    from linhyp import cli
+    assert cli._SOLIDS == tuple(sorted(PLATONIC_SCHLAFLI))

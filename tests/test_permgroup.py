@@ -132,6 +132,16 @@ def test_closure_cap():
                 max_order=30)
 
 
+def test_closure_caps_order_times_degree():
+    # 64 images per element of the cap: a 100-cycle may close to 6 elements
+    # of degree 100 under a cap of 10, where the order cap alone allows 10
+    cycle = parse_cycles("(" + " ".join(map(str, range(1, 101))) + ")", 100)
+    with pytest.raises(GroupTooLarge, match="degree 100 exceeded 6 elements, "
+                       "the budget of 640 images"):
+        closure([cycle], max_order=10)
+    assert closure([cycle], max_order=157).order == 100   # 64*157 >= 100*100
+
+
 def test_canonical_element_order(s4):
     assert s4.elements[0].is_identity()
     images = [e.images for e in s4.elements]
