@@ -24,6 +24,11 @@ Flag-hypermap files (``*.flags``) are::
     r0: (1 2)(3 4)...
     r1: ...
     r2: ...
+
+``flags`` is bounded like ``degree``.  Both formats are read the same way:
+every ``key: value`` line is checked for its colon, a known key and a first
+use, then the required keys are looked for, and only then are the values
+parsed.  A file with two faults may therefore report a later line first.
 """
 
 from __future__ import annotations
@@ -61,69 +66,67 @@ class CatalogEntry:
         return self.base_degree + (2 if self.times_z2 else 0)
 
 
-def _non_comment_lines(text: str) -> list[tuple[int, str]]:
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append((lineno, line))
-    return out
+def _lines(path: Path) -> list[tuple[int, str]]:
+    """The file's non-comment lines, stripped, with their line numbers."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(str(exc), path=str(path)) from exc
+    return [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.split("#", 1)[0].strip())]
+
+
+def _fields(path: Path, lines: list[tuple[int, str]], keys: tuple[str, ...],
+            unknown: str) -> dict[str, tuple[int, str]]:
+    """``key: value`` lines as ``{key: (line number, value)}``; a line
+    without a colon, a key outside ``keys`` or a repeated key is an error."""
+    fields: dict[str, tuple[int, str]] = {}
+    for lineno, line in lines:
+        key, sep, value = line.partition(":")
+        key = key.strip()
+        if not sep:
+            message = f"expected 'key: value', got {line!r}"
+        elif key not in keys:
+            message = f"{unknown} {key!r}"
+        elif key in fields:
+            message = f"duplicate key {key!r}"
+        else:
+            fields[key] = lineno, value.strip()
+            continue
+        raise ParseError(message, path=str(path), line=lineno)
+    return fields
+
+
+def _count(label: str, value: str, path: Path, line: int | None = None) -> int:
+    """A positive decimal count no larger than the closure cap."""
+    if not value.isdecimal() or int(value) < 1:
+        raise ParseError(f"bad {label} {value!r}", path=str(path), line=line)
+    n, cap = int(value), closure_cap()
+    if n > cap:
+        raise ParseError(f"{label} {n} exceeds the cap of {cap} "
+                         f"({CLOSURE_CAP_ENV})", path=str(path), line=line)
+    return n
 
 
 def parse_group_file(path: str | Path,
                      max_order: int | None = None) -> CatalogEntry:
     """Parse one catalog file and build its group."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(str(exc), path=str(path)) from exc
-
-    name: str | None = None
-    degree: int | None = None
-    times_z2 = False
-    gen_words: list[str] = []
-    seen: set[str] = set()
-    in_gens = False
-    for lineno, line in _non_comment_lines(text):
-        if in_gens:
-            gen_words.append(line)
-            continue
-        if line == "gens:":
-            in_gens = True
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ParseError(f"expected 'key: value', got {line!r}",
-                             path=str(path), line=lineno)
-        key, value = key.strip(), value.strip()
-        if key in seen:
-            raise ParseError(f"duplicate key {key!r}",
-                             path=str(path), line=lineno)
-        seen.add(key)
-        if key == "name":
-            name = value
-        elif key == "degree":
-            if not value.isdecimal() or int(value) < 1:
-                raise ParseError(f"bad degree {value!r}",
-                                 path=str(path), line=lineno)
-            degree, cap = int(value), closure_cap()
-            if degree > cap:
-                raise ParseError(
-                    f"degree {degree} exceeds the cap of {cap} "
-                    f"({CLOSURE_CAP_ENV})", path=str(path), line=lineno)
-        elif key == "times-z2":
-            if value not in ("true", "false"):
-                raise ParseError(f"times-z2 must be true or false, got {value!r}",
-                                 path=str(path), line=lineno)
-            times_z2 = value == "true"
-        else:
-            raise ParseError(f"unknown header key {key!r}",
-                             path=str(path), line=lineno)
-    if name is None:
-        raise ParseError("missing 'name:' header", path=str(path))
-    if degree is None:
-        raise ParseError("missing 'degree:' header", path=str(path))
+    lines = _lines(path)
+    split = next((i for i, (_, line) in enumerate(lines) if line == "gens:"),
+                 len(lines))
+    fields = _fields(path, lines[:split], ("name", "degree", "times-z2"),
+                     "unknown header key")
+    gen_words = [line for _, line in lines[split + 1:]]
+    for key in ("name", "degree"):
+        if key not in fields:
+            raise ParseError(f"missing '{key}:' header", path=str(path))
+    degree = _count("degree", fields["degree"][1], path, fields["degree"][0])
+    lineno, flag = fields.get("times-z2", (None, "false"))
+    if flag not in ("true", "false"):
+        raise ParseError(f"times-z2 must be true or false, got {flag!r}",
+                         path=str(path), line=lineno)
+    times_z2 = flag == "true"
     if not gen_words:
         raise ParseError("missing 'gens:' section", path=str(path))
 
@@ -139,7 +142,7 @@ def parse_group_file(path: str | Path,
         gens.append(parse_cycles(f"({degree + 1} {degree + 2})", effective))
     group = closure(gens, max_order=max_order)
     return CatalogEntry(
-        name=name,
+        name=fields["name"][1],
         source_path=str(path),
         base_degree=degree,
         times_z2=times_z2,
@@ -179,37 +182,14 @@ def load_catalog(paths: Sequence[str | Path],
 def load_flag_hypermap(path: str | Path) -> FlagHypermap:
     """Read a flag-hypermap file: flag count plus three involutions."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(str(exc), path=str(path)) from exc
-    fields: dict[str, str] = {}
-    for lineno, line in _non_comment_lines(text):
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise ParseError(f"expected 'key: value', got {line!r}",
-                             path=str(path), line=lineno)
-        key = key.strip()
-        if key not in ("flags", "r0", "r1", "r2"):
-            raise ParseError(f"unknown key {key!r}",
-                             path=str(path), line=lineno)
-        if key in fields:
-            raise ParseError(f"duplicate key {key!r}",
-                             path=str(path), line=lineno)
-        fields[key] = value.strip()
-    for key in ("flags", "r0", "r1", "r2"):
+    keys = ("flags", "r0", "r1", "r2")
+    fields = _fields(path, _lines(path), keys, "unknown key")
+    for key in keys:
         if key not in fields:
             raise ParseError(f"missing {key!r} line", path=str(path))
-    count = fields["flags"]
-    if not count.isdecimal() or int(count) < 1:
-        raise ParseError(f"bad flag count {count!r}", path=str(path))
-    n, cap = int(count), closure_cap()
-    if n > cap:
-        raise ParseError(
-            f"flag count {n} exceeds the cap of {cap} ({CLOSURE_CAP_ENV})",
-            path=str(path))
+    n = _count("flag count", fields["flags"][1], path)
     try:
-        perms = [parse_cycles(fields[k], n) for k in ("r0", "r1", "r2")]
+        perms = [parse_cycles(fields[k][1], n) for k in keys[1:]]
     except LinhypError as exc:
         raise ParseError(f"bad involution: {exc}", path=str(path)) from exc
     return FlagHypermap(*perms)

@@ -83,7 +83,8 @@ class FlagHypermap:
 
 @dataclass(frozen=True)
 class CellStructure:
-    """The three orbit partitions, as sorted tuples of 1-based flags."""
+    """The three orbit partitions, as sorted tuples of 1-based flags,
+    ordered by least flag."""
 
     vertices: tuple[tuple[int, ...], ...]
     hyperedges: tuple[tuple[int, ...], ...]
@@ -165,24 +166,23 @@ class ConfigurationReport:
 
 
 def _orbit_partition(n: int, perms: list[Permutation]) -> list[tuple[int, ...]]:
-    """Orbits of the generated subgroup, as sorted 1-based tuples."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in perms:
-        for i, v in enumerate(p.images):
-            ri, rv = find(i), find(v)
-            if ri != rv:
-                parent[rv] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i + 1)
-    return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda t: t[0])
+    """Orbits of the generated subgroup, as sorted 1-based tuples, ordered
+    by least flag: each is walked from its least unseen flag."""
+    images = [p.images for p in perms]
+    seen = bytearray(n)
+    orbits = []
+    for start in range(n):
+        if not seen[start]:
+            seen[start] = 1
+            orbit = [start]
+            for x in orbit:
+                for image in images:
+                    y = image[x]
+                    if not seen[y]:
+                        seen[y] = 1
+                        orbit.append(y)
+            orbits.append(tuple(sorted(x + 1 for x in orbit)))
+    return orbits
 
 
 def _rotations(a: Permutation, b: Permutation, half: int):
@@ -192,17 +192,6 @@ def _rotations(a: Permutation, b: Permutation, half: int):
     for _ in range(half):
         yield x
         x = then_rho(x)
-
-
-def _incidence(cells: CellStructure) -> tuple[dict[int, int], LinearHypergraph]:
-    """Each flag's vertex id (1.., in cell order), and the hypergraph of
-    the vertex sets that the hyperedge cells meet."""
-    vertex_of = {flag: vid for vid, orbit in enumerate(cells.vertices, start=1)
-                 for flag in orbit}
-    return vertex_of, LinearHypergraph(
-        tuple(range(1, len(cells.vertices) + 1)),
-        tuple(frozenset(vertex_of[flag] for flag in orbit)
-              for orbit in cells.hyperedges))
 
 
 # --- validation ----------------------------------------------------------------
@@ -274,17 +263,30 @@ def validate_hypermap(h: FlagHypermap) -> ValidationReport:
 
 
 def _product_failure(cells: CellStructure) -> int | None:
-    """The least flag whose vertex shares two hyperedges with a vertex of
-    its hyperedge, where the product condition fails; None if none does."""
-    vertex_of, hg = _incidence(cells)
-    partners: dict[int, set[int]] = {}
-    for u, w in hg.linearity_violations():
-        partners.setdefault(u, set()).add(w)
-        partners.setdefault(w, set()).add(u)
-    return min((flag for orbit, edge in zip(cells.hyperedges, hg.hyperedges)
-                for flag in orbit
-                if not edge.isdisjoint(partners.get(vertex_of[flag], ()))),
-               default=None)
+    """The least flag whose vertex v shares two hyperedges with another
+    vertex of the flag's hyperedge, where the product condition fails; None
+    if none does.  Vertices come in order of least flag; each one of two or
+    more hyperedges gathers the vertices it meets twice, and the scan stops
+    once no later vertex can fail at a lower flag.  Memory is O(flags)."""
+    vertex_of = {f: v for v, orbit in enumerate(cells.vertices) for f in orbit}
+    edge_of = {f: e for e, orbit in enumerate(cells.hyperedges) for f in orbit}
+    members = [{vertex_of[f] for f in orbit} for orbit in cells.hyperedges]
+    least = None
+    for v, orbit in enumerate(cells.vertices):
+        if least is not None and orbit[0] > least:
+            break
+        at = {edge_of[f] for f in orbit}
+        if len(at) < 2:
+            continue
+        seen, twice = set(), set()
+        for e in at:
+            twice |= seen & members[e]
+            seen |= members[e]
+        twice.discard(v)
+        if twice:
+            flag = next(f for f in orbit if not members[edge_of[f]].isdisjoint(twice))
+            least = flag if least is None else min(least, flag)
+    return least
 
 
 # --- cell-level operations -----------------------------------------------------
@@ -298,7 +300,10 @@ def extract_cells(h: FlagHypermap) -> CellStructure:
 
 def underlying_hypergraph(h: FlagHypermap) -> LinearHypergraph:
     """Hyperedges as sets of incident vertices, with linearity re-verified."""
-    _, hg = _incidence(extract_cells(h))
+    cells = extract_cells(h)
+    vertex_of = {f: v for v, orbit in enumerate(cells.vertices, 1) for f in orbit}
+    hg = LinearHypergraph(tuple(range(1, len(cells.vertices) + 1)), tuple(
+        frozenset(vertex_of[f] for f in orbit) for orbit in cells.hyperedges))
     bad = hg.linearity_violations()
     if bad:
         raise LinearityViolation(

@@ -157,6 +157,64 @@ def test_flag_file_unknown_key(tmp_path):
     assert main(["validate-flags", "--flags", str(bad)]) == 1
 
 
+GRP_TAIL = "gens:\n(1 2 3)\n"
+FLAGS_TAIL = "r1: (1 3)(2 4)\nr2: (1 4)(2 3)\n"
+
+
+@pytest.mark.parametrize("suffix, text, line, message", [
+    (".grp", None, None, "[Errno 2] No such file or directory: {path!r}"),
+    (".grp", "name: a\ndegree 3\n" + GRP_TAIL, 2,
+     "expected 'key: value', got 'degree 3'"),
+    (".grp", "name: a\ndegree: 3\ntimes-z2: yes\n" + GRP_TAIL, 3,
+     "times-z2 must be true or false, got 'yes'"),
+    (".grp", "name: a\n# order\ndegree: 3\norder: 6\n" + GRP_TAIL, 4,
+     "unknown header key 'order'"),
+    (".grp", "name: a\ndegree: 3\ngens: (1 2 3)\n", 3,
+     "unknown header key 'gens'"),
+    (".grp", "name: a\ndegree: 3\n", None, "missing 'gens:' section"),
+    (".grp", "name: a\ndegree: 3\ngens:\n", None, "missing 'gens:' section"),
+    (".grp", "degree: 3\n" + GRP_TAIL, None, "missing 'name:' header"),
+    (".grp", "name: a\n" + GRP_TAIL, None, "missing 'degree:' header"),
+    (".grp", "name: a\ndegree: three\n" + GRP_TAIL, 2, "bad degree 'three'"),
+    (".grp", "name: a\ndegree: 200001\n" + GRP_TAIL, 2,
+     "degree 200001 exceeds the cap of 200000 (LHM_MAX_GROUP_ORDER)"),
+    (".grp", "name: a\ndegree: 3\ngens:\n(1 2\n", None,
+     "bad generator '(1 2': unclosed cycle in '(1 2'"),
+    (".flags", None, None, "[Errno 2] No such file or directory: {path!r}"),
+    (".flags", "flags: 4\nr0 (1 2)(3 4)\n" + FLAGS_TAIL, 2,
+     "expected 'key: value', got 'r0 (1 2)(3 4)'"),
+    (".flags", "flags: 4\nr0: (1 2)(3 4)\n" + FLAGS_TAIL + "r3: (1 2)\n", 5,
+     "unknown key 'r3'"),
+    (".flags", "flags: 4\nr0: (1 2)(3 4)\n\nr0: (1 2)(3 4)\n" + FLAGS_TAIL, 4,
+     "duplicate key 'r0'"),
+    (".flags", "flags: 4\nr0: (1 2)(3 4)\nr1: (1 3)(2 4)\n", None,
+     "missing 'r2' line"),
+    (".flags", "r0: (1 2)(3 4)\n" + FLAGS_TAIL, None, "missing 'flags' line"),
+    (".flags", "flags: four\nr0: (1 2)(3 4)\n" + FLAGS_TAIL, None,
+     "bad flag count 'four'"),
+    (".flags", "flags: 200001\nr0: (1 2)(3 4)\n" + FLAGS_TAIL, None,
+     "flag count 200001 exceeds the cap of 200000 (LHM_MAX_GROUP_ORDER)"),
+    (".flags", "flags: 4\nr0: (1 2)(3 5)\n" + FLAGS_TAIL, None,
+     "bad involution: point 5 outside 1..4"),
+])
+def test_each_input_fault_is_one_parse_error(tmp_path, monkeypatch, capsys,
+                                             suffix, text, line, message):
+    monkeypatch.delenv("LHM_MAX_GROUP_ORDER", raising=False)
+    path = tmp_path / f"input{suffix}"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    message = message.format(path=str(path))
+    where = f"{path}:" if line is None else f"{path}:{line}:"
+    read, argv = ((parse_group_file, ["classify", "--group", str(path)])
+                  if suffix == ".grp" else
+                  (load_flag_hypermap, ["validate-flags", "--flags", str(path)]))
+    with pytest.raises(ParseError) as info:
+        read(path)
+    assert (str(info.value), info.value.line) == (f"{where} {message}", line)
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {where} {message}"]
+
+
 @pytest.mark.parametrize("count", ["99999999999", "0", "\u00b2"])
 def test_flag_count_checked_before_allocation(tmp_path, count):
     bad = tmp_path / "huge.flags"

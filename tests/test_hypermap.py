@@ -176,11 +176,12 @@ def test_subgroup_checks_match_the_definition(torus, s4):
 
 
 @st.composite
-def _involution_triples(draw):
-    """Three fixed-point-free involutions on 4..24 flags; r0 is sometimes
-    r1 with two 2-cycles exchanged, so that near-misses are common."""
+def _involution_triples(draw, max_half=12):
+    """Three fixed-point-free involutions on 4..2*max_half flags; r0 is
+    sometimes r1 with two 2-cycles exchanged, so that near-misses are
+    common."""
     rng = draw(st.randoms(use_true_random=True))
-    n = 2 * rng.randint(2, 12)
+    n = 2 * rng.randint(2, max_half)
 
     def matching():
         order = rng.sample(range(n), n)
@@ -203,6 +204,55 @@ def _involution_triples(draw):
 @given(_involution_triples())
 def test_subgroup_checks_match_the_definition_on_random_triples(h):
     _assert_subgroup_checks_match_definition(h)
+
+
+def _union_find_orbits(n, perms):
+    """Reference orbits: union-find over every image, regrouped and sorted."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for p in perms:
+        for i, v in enumerate(p.images):
+            parent[find(v)] = find(i)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i + 1)
+    return sorted((tuple(sorted(g)) for g in groups.values()), key=lambda t: t[0])
+
+
+def _pair_count_product_failure(cells):
+    """Reference product scan: the least flag whose hyperedge meets a vertex
+    that ``linearity_violations()`` pairs with the flag's vertex."""
+    vertex_of = {f: v for v, orbit in enumerate(cells.vertices, 1) for f in orbit}
+    hg = LinearHypergraph(tuple(range(1, len(cells.vertices) + 1)), tuple(
+        frozenset(vertex_of[f] for f in orbit) for orbit in cells.hyperedges))
+    partners = {}
+    for u, w in hg.linearity_violations():
+        partners.setdefault(u, set()).add(w)
+        partners.setdefault(w, set()).add(u)
+    return min((flag for orbit, edge in zip(cells.hyperedges, hg.hyperedges)
+                for flag in orbit
+                if not edge.isdisjoint(partners.get(vertex_of[flag], ()))),
+               default=None)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_involution_triples(max_half=30))
+def test_orbit_and_product_scans_match_their_references(h):
+    from linhyp.hypermap import CellStructure, _orbit_partition, _product_failure
+
+    n, r0, r1, r2 = h.flag_count, h.r0, h.r1, h.r2
+    for perms in ([r0, r1, r2], [r1, r2], [r0, r2], [r0, r1],
+                  [r0 * r1, r1 * r2]):
+        assert _orbit_partition(n, perms) == _union_find_orbits(n, perms)
+    cells = CellStructure(*(tuple(_union_find_orbits(n, pair))
+                            for pair in ([r1, r2], [r0, r2], [r0, r1])))
+    assert _product_failure(cells) == _pair_count_product_failure(cells)
 
 
 # --- cells ---------------------------------------------------------------------
@@ -468,6 +518,35 @@ def test_stabiliser_meet_walks_without_listing_the_larger_stabiliser(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert ("stabilizer-intersection: FAIL  <r1,r2> meets <r0,r2> in 4 "
             "elements, expected 2") in proc.stdout.splitlines()
+
+
+def test_product_condition_scans_flags_without_listing_vertex_pairs(tmp_path):
+    # r1 = r2 makes 2000 two-flag vertices and one hyperedge over all 4000
+    # flags: its C(2000, 2) vertex pairs take about 226 MB as a Counter
+    import resource
+    import subprocess
+    import sys
+
+    limit = 200 * 2**20
+    n = 4000
+    r2 = "".join(f"({i} {i + 1})" for i in range(1, n, 2))
+    r0 = "".join(f"({i} {i % n + 1})" for i in range(2, n + 1, 2))
+    path = tmp_path / "one-edge.flags"
+    path.write_text(f"flags: {n}\nr0: {r0}\nr1: {r2}\nr2: {r2}\n",
+                    encoding="utf-8")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "linhyp.cli", "validate-flags", "--flags",
+         str(path)], capture_output=True, text=True, timeout=120,
+        preexec_fn=cap_address_space)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "pairwise-distinct: FAIL  two of r0, r1, r2 coincide" in lines
+    assert "product-intersection: PASS" in lines
+    assert "Traceback" not in proc.stderr and "MemoryError" not in proc.stderr
 
 
 SIX_FLAGS = ("flags: 6\nr0: (1 5)(2 4)(3 6)\nr1: (1 5)(2 3)(4 6)\n"
