@@ -98,14 +98,25 @@ def _fields(path: Path, lines: list[tuple[int, str]], keys: tuple[str, ...],
 
 
 def _count(label: str, value: str, path: Path, line: int | None = None) -> int:
-    """A positive decimal count no larger than the closure cap."""
-    if not value.isdecimal() or int(value) < 1:
+    """A positive decimal count no larger than the closure cap.
+
+    Past its leading zeros, a count with more digits than the cap exceeds
+    it; that is decided on the digits, because ``int`` refuses a string of
+    more than a few thousand of them.
+    """
+    if not value.isdecimal():
         raise ParseError(f"bad {label} {value!r}", path=str(path), line=line)
-    n, cap = int(value), closure_cap()
-    if n > cap:
-        raise ParseError(f"{label} {n} exceeds the cap of {cap} "
+    start = 0  # any Unicode decimal digit may lead, so compare its value
+    while start < len(value) and int(value[start]) == 0:
+        start += 1
+    digits = value[start:]
+    if not digits:
+        raise ParseError(f"bad {label} {value!r}", path=str(path), line=line)
+    cap = closure_cap()
+    if len(digits) > len(str(cap)) or int(digits) > cap:
+        raise ParseError(f"{label} {digits} exceeds the cap of {cap} "
                          f"({CLOSURE_CAP_ENV})", path=str(path), line=line)
-    return n
+    return int(digits)
 
 
 def parse_group_file(path: str | Path,

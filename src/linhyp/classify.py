@@ -3,14 +3,21 @@
 A triple is admissible when its three distinct involutions generate the
 group and pass both subgroup conditions.  Its canonical key is the
 lexicographically least image of the triple under the automorphism group
-``Aut(G)``.  Only the identity automorphism fixes a generating triple, so
-``Aut(G)`` acts freely on admissible triples: every class has exactly
-``|Aut|`` of them, and a triple is its own key exactly when ``r0`` is least
-in its ``Aut``-orbit on involutions, ``r1`` least in its orbit under the
-stabiliser of ``r0``, and ``r2`` least in its orbit under the stabiliser of
-``r0`` and ``r1``.  ``classify`` walks this stabiliser chain and checks
-admissibility only for the triples that pass all three filters; each
-admissible survivor is one class, met in key order.
+``Aut(G)``, and the classes are the ``Aut``-orbits.  Only the identity
+automorphism fixes a generating triple, so ``Aut(G)`` and its subgroup
+``Inn(G)`` act freely on admissible triples.
+
+``classify`` scans under ``Inn(G)``, which costs one table gather per
+element instead of an automorphism search.  A triple is least in its
+``Inn``-orbit exactly when ``r0`` is least in its orbit on involutions,
+``r1`` least in its orbit under the stabiliser of ``r0``, and ``r2`` least
+in its orbit under the stabiliser of ``r0`` and ``r1``; the scan walks this
+chain and checks admissibility only for the triples that pass all three
+filters.  Two generating triples lie in one ``Aut``-orbit exactly when
+their Cayley codes agree (Conder & Dobcsanyi, JCTB 81, 2001), so the
+admissible survivors split by code into the classes, ``|Out(G)|``
+survivors each, and the least survivor of a code is its class's key.  So
+``|Aut| = |Out| * |Inn|`` comes from the codes too.
 
 Admissibility itself is coded once, in :mod:`linhyp.regular`, as a lazy
 stream of checks, cheapest first; the scan and the brute-force
@@ -19,22 +26,40 @@ product verdicts per group and drop a triple at its first failed check.
 Each class is built from its checked key without a second check, reading
 its vertex and hyperedge stabilisers and its orientability from the memo.
 
-``Aut(G)`` comes from :func:`~linhyp.permgroup.automorphism_group`, which
-matches Cayley codes of generator images and keeps the 2048-element cap.
-The ``jobs`` argument is accepted for compatibility; the scan runs in one
-process and its output never depends on ``jobs``.
+Only a group with no classes leaves ``|Aut|`` unknown; it alone calls
+:func:`~linhyp.permgroup.automorphism_group`, which keeps the 2048-element
+cap.  The scan needs the dense multiplication table, so ``classify`` takes
+groups of up to ``TABLE_LIMIT`` (4096) elements, and it visits at most
+``4 * 2048**2 / |G|`` triples: a group with more Inn-orbits of involution
+triples, such as the dihedral group of order 512, raises
+``GroupTooLargeForAut``.  The ``jobs`` argument is accepted for
+compatibility; the scan runs in one process and its output never depends
+on ``jobs``.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from array import array
 from collections import Counter
 from typing import Iterator, Sequence
 
 from ._frozen import dataclass, field
-from .errors import LinhypError
-from .permgroup import FiniteGroup, automorphism_group, involutions
+from .errors import (
+    GroupTooLarge,
+    GroupTooLargeForAut,
+    InternalCheckFailed,
+    LinhypError,
+)
+from .permgroup import (
+    DEFAULT_AUT_CAP,
+    TABLE_LIMIT,
+    FiniteGroup,
+    _cayley_walk,
+    automorphism_group,
+    involutions,
+)
 from .regular import (
     InvolutionTriple,
     MSequence,
@@ -99,16 +124,14 @@ def _orbit_minima(rows: list[tuple[int, ...]], points: list[int]) -> list[int]:
             if least == p]
 
 
-def _self_canonical_triples(maps: list[tuple[int, ...]], invs: list[int]
+def _self_canonical_triples(rows: list[tuple[int, ...]], invs: list[int]
                             ) -> Iterator[tuple[int, int, int]]:
-    """Distinct involution triples equal to their canonical key, in order."""
-    if len(invs) < 3:
-        return  # no distinct triple, and itemgetter needs two points
-    restrict = operator.itemgetter(*invs)
-    images = [restrict(m) for m in maps]
-    for i0 in _orbit_minima(images, invs):
+    """Distinct involution triples least in their orbit under ``rows``, in
+    order; ``rows[a][i]`` is the image of ``invs[i]`` under automorphism
+    ``a``."""
+    for i0 in _orbit_minima(rows, invs):
         p0 = invs[i0]
-        stab0 = [r for r in images if r[i0] == p0]
+        stab0 = [r for r in rows if r[i0] == p0]
         for i1 in _orbit_minima(stab0, invs):
             if i1 == i0:
                 continue
@@ -119,35 +142,106 @@ def _self_canonical_triples(maps: list[tuple[int, ...]], invs: list[int]
                     yield p0, p1, invs[i2]
 
 
+def _inner_rows(group: FiniteGroup, invs: list[int]) -> list[tuple[int, ...]]:
+    """The inner automorphisms on the involutions, one row each.
+
+    Conjugation by g sends x to ``T[T[g^-1, x], g]``: row ``g^-1`` of the
+    table read at the involutions, then column g read at those products.
+    Rows repeat along the cosets of the centraliser of the involutions,
+    which is the centre Z(G) when they generate G, so there are
+    ``|G| / |Z(G)|`` distinct rows.  ``invs`` needs two or more points.
+    """
+    flat, n = group._flat, group.order
+    at_invs = operator.itemgetter(*invs)
+    return list(dict.fromkeys(
+        operator.itemgetter(*at_invs(flat[gi * n:(gi + 1) * n]))(flat[g::n])
+        for g, gi in enumerate(group._inverse)))
+
+
+def _may_have_classes(group: FiniteGroup, invs: list[int]) -> bool:
+    """False when no three involutions can generate the group.
+
+    The squares generate a normal subgroup G^2 with G/G^2 elementary
+    abelian, and an admissible triple maps onto three generators of it, so
+    ``|G : G^2| <= 8``.  This keeps groups like Z2^k with k > 3, which have
+    many involutions and a trivial Inn, out of the scan.
+    """
+    if len(invs) < 3:
+        return False
+    squares = sorted(set(group._flat[::group.order + 1]))
+    return group.order <= 8 * group.subgroup_bits(squares).bit_count()
+
+
+# Each triple the scan visits costs O(|G|) and may leave |G|-bit subgroups
+# in the memo, so, as automorphism_group bounds |Aut| * |G| by 2048^2, the
+# scan bounds its visits times |G|, by four times that: s6xz2 comes to
+# 1.1e7, while a dihedral group of order 512 (refused by the enumeration
+# too) would visit 65538 triples, 3.4e7.
+_SCAN_WORK = 4 * DEFAULT_AUT_CAP ** 2
+
+
+def _scan_refused(group: FiniteGroup, limit: int) -> GroupTooLargeForAut:
+    return GroupTooLargeForAut(
+        f"the Inn(G) scan of |G| = {group.order} would visit more than "
+        f"{limit} triples, its work cap of 4 * {DEFAULT_AUT_CAP}^2 / |G|")
+
+
 def classify(group: FiniteGroup, group_name: str = "",
              jobs: int = 1) -> ClassificationResult:
     """One representative per automorphism orbit of admissible triples.
 
-    Scans only the triples that equal their canonical key (see the module
-    docstring), so every admissible one found is a class of ``|Aut|``
-    triples and the classes come out sorted by key.  ``jobs`` is accepted
-    and ignored; the result never depends on it.
+    Scans the triples least in their ``Inn(G)``-orbit and splits the
+    admissible ones by Cayley code (see the module docstring), so every
+    class is a code, its key is the least survivor with that code, and the
+    classes come out sorted by key.  ``jobs`` is accepted and ignored; the
+    result never depends on it.
     """
-    auts = automorphism_group(group)
+    if not group.has_table:
+        raise GroupTooLarge(f"|G| = {group.order} exceeds the table limit "
+                            f"{TABLE_LIMIT} that classify needs")
+    invs, rows = involutions(group), []
+    limit = _SCAN_WORK // group.order
+    if _may_have_classes(group, invs):
+        # one visit per Inn-orbit of distinct triples, so at least
+        # m(m-1)(m-2) / |G| of them for m involutions, as |Inn| <= |G|
+        m = len(invs)
+        if m * (m - 1) * (m - 2) // group.order > limit:
+            raise _scan_refused(group, limit)
+        rows = _inner_rows(group, invs)
     memo: dict = {}
+    # each code packed in 16 bits a step: walk positions stay below |G|
+    survivors: dict[bytes, list[tuple[int, int, int]]] = {}
+    # without rows _orbit_minima finds no point, so nothing is visited
+    for visits, key in enumerate(_self_canonical_triples(rows, invs), 1):
+        if visits > limit:
+            raise _scan_refused(group, limit)
+        if all(c.passed for c in _conditions(group, *key, memo)):
+            code = _cayley_walk(group._flat, group.order, key)[1]
+            survivors.setdefault(array("H", code).tobytes(), []).append(key)
+    if survivors:
+        out = {len(keys) for keys in survivors.values()}
+        if len(out) != 1:
+            raise InternalCheckFailed(
+                f"Cayley codes with unequal survivor counts {sorted(out)}: "
+                "Aut(G) does not act freely on admissible triples")
+        aut_size = out.pop() * len(rows)
+    else:
+        aut_size = len(automorphism_group(group))
     classes = []
-    for key in _self_canonical_triples([a.mapping for a in auts],
-                                       involutions(group)):
-        if not all(c.passed for c in _conditions(group, *key, memo)):
-            continue
+    for key in sorted(keys[0] for keys in survivors.values()):
         hm = RegularLinearHypermap._of(InvolutionTriple(group, *key), memo)
         classes.append(ClassifiedHypermap(
             hypermap=hm,
             canonical_key=key,
-            orbit_size=len(auts),
+            orbit_size=aut_size,
             m_seq=hm.m_sequence(),
         ))
     return ClassificationResult(
         group_name=group_name,
         group=group,
         classes=tuple(classes),
-        admissible_triple_count=len(classes) * len(auts),
-        aut_group_size=len(auts),
+        admissible_triple_count=len(classes) * aut_size,
+        aut_group_size=aut_size,
     )
 
 

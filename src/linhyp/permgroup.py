@@ -47,9 +47,9 @@ CLOSURE_CAP_ENV = "LHM_MAX_GROUP_ORDER"
 CLOSURE_IMAGES_PER_ELEMENT = 64
 TABLE_LIMIT = 4096
 DEFAULT_AUT_CAP = 2048
-# subgroup_bits sets the bits of a proper subgroup one shift-or at a time
-# below |G| / _BUFFER_SHARE elements and through one string of digits above
-# it; on a6, s6xz2 and a7 the two cost the same near |G| / 16.
+# _bits_of sets the bits of a subgroup or a product set one shift-or at a
+# time below |G| / _BUFFER_SHARE elements and through one string of digits
+# above it; on a6, s6xz2 and a7 the two cost the same near |G| / 16.
 _BUFFER_SHARE = 16
 
 
@@ -407,34 +407,40 @@ class FiniteGroup:
                         reps.append(y)
         if len(members) == n:
             return (1 << n) - 1
-        if len(members) * _BUFFER_SHARE < n:
-            bits = 0
-            for x in members:
-                bits |= 1 << x
-            return bits
-        digits = bytearray(b"0") * n
-        for x in members:
-            digits[x] = 49  # ord("1")
-        return int(digits[::-1], 2)
+        return _bits_of(members, n)
 
     def product_bits(self, a_bits: int, b_bits: int) -> int:
         """Bitset of all products x*y with x in ``a_bits``, y in ``b_bits``."""
-        xs, ys = _bit_indices(a_bits), _bit_indices(b_bits)
-        bits = 0
-        if self._flat is not None:
-            flat, n = self._flat, self.order
-            for x in xs:
-                base = x * n
-                for y in ys:
-                    bits |= 1 << flat[base + y]
-        else:
-            for x in xs:
-                for y in ys:
-                    bits |= 1 << self.mul(x, y)
-        return bits
+        return _bits_of(self._products(_bit_indices(a_bits),
+                                       _bit_indices(b_bits)), self.order)
+
+    def _products(self, xs: list[int], ys: list[int]) -> set[int]:
+        """The set of all products x*y; with the table, each x gathers
+        table row x at every y in one call."""
+        if self._flat is None or len(ys) < 2:  # itemgetter needs two
+            return {self.mul(x, y) for x in xs for y in ys}
+        n, rows = self.order, memoryview(self._flat)
+        take = operator.itemgetter(*ys)
+        products: set[int] = set()
+        for x in xs:
+            products.update(take(rows[x * n:(x + 1) * n]))
+        return products
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, degree={self.degree})"
+
+
+def _bits_of(members: set[int], n: int) -> int:
+    """The bitset of ``members``, elements of a group of order ``n``."""
+    if len(members) * _BUFFER_SHARE < n:
+        bits = 0
+        for x in members:
+            bits |= 1 << x
+        return bits
+    digits = bytearray(b"0") * n
+    for x in members:
+        digits[x] = 49  # ord("1")
+    return int(digits[::-1], 2)
 
 
 def _bit_indices(bits: int) -> list[int]:
@@ -686,14 +692,16 @@ def _cayley_walk(flat: array, n: int, gens: Sequence[int],
     tuple's Cayley code.  Given a target ``code``, returns None at the first
     step that departs from it.
     """
+    # column h of the table maps x to x * h; a list indexes faster than
+    # the array, and one strided copy per generator costs O(|G|)
+    columns = [flat[h::n].tolist() for h in gens]
     order = [0]
     position = [-1] * n
     position[0] = 0
     walk: list[int] = []
     for x in order:
-        base = x * n
-        for h in gens:
-            z = flat[base + h]
+        for column in columns:
+            z = column[x]
             q = position[z]
             if q < 0:
                 q = position[z] = len(order)
@@ -708,6 +716,11 @@ def automorphism_group(group: FiniteGroup,
                        max_order: int = DEFAULT_AUT_CAP
                        ) -> list[GroupAutomorphism]:
     """The complete automorphism group, sorted by mapping.
+
+    :func:`~linhyp.classify.classify` calls this only for a group with no
+    classes, whose ``|Aut|`` the Cayley codes of its classes cannot give;
+    ``canonical_key`` calls it too, and ``is_isomorphic`` for a triple that
+    does not generate its group.
 
     Fixes a short generating tuple (g1..gk); one walk from the identity
     over right multiplication by the gi gives the walk order and the

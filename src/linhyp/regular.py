@@ -41,6 +41,8 @@ from .permgroup import (
     ElementSet,
     FiniteGroup,
     Permutation,
+    _bit_indices,
+    _cayley_walk,
     automorphism_group,
     normal_core,
     parse_cycles,
@@ -150,8 +152,7 @@ def _conditions(group: FiniteGroup, r0: int, r1: int, r2: int,
     key = ("HK", h, k) if h < k else ("HK", k, h)
     extra = memo.get(key)
     if extra is None:
-        both = group.product_bits(h, k) & group.product_bits(k, h)
-        extra = memo[key] = both & ~(h | k)
+        extra = memo[key] = _product_excess(group, h, k)
     yield CheckResult(
         "product-intersection", not extra,
         "" if not extra else
@@ -163,6 +164,21 @@ def _conditions(group: FiniteGroup, r0: int, r1: int, r2: int,
         "generates", span == group.order,
         "" if span == group.order else
         f"triple generates a subgroup of order {span} < {group.order}")
+
+
+def _product_excess(group: FiniteGroup, h: int, k: int) -> int:
+    """The elements of ``HK & KH`` outside ``H | K``, as a bitset.
+
+    KH holds the inverses of the elements of HK, so x lies in both exactly
+    when x and x^-1 lie in HK: one product set is enough.
+    """
+    hs, ks = _bit_indices(h), _bit_indices(k)
+    hk, inverse = group._products(hs, ks), group._inverse
+    extra = 0
+    for x in hk.difference(hs, ks):
+        if inverse[x] in hk:
+            extra |= 1 << x
+    return extra
 
 
 def _pair_bits(group: FiniteGroup, a: int, b: int, memo: dict) -> int:
@@ -308,13 +324,26 @@ def dual(m: RegularLinearHypermap) -> RegularLinearHypermap:
 
 
 def is_isomorphic(t1: InvolutionTriple, t2: InvolutionTriple) -> bool:
-    """True iff some group automorphism maps one triple to the other."""
+    """True iff some group automorphism maps one triple to the other.
+
+    Two generating tuples are related by an automorphism exactly when their
+    Cayley codes agree (Conder & Dobcsanyi, JCTB 81, 2001), so a triple
+    that generates its group is compared by one walk of each triple over
+    the multiplication table: O(|G|), with no automorphism cap.  A triple
+    that does not generate, or a group without a table, is compared
+    through :func:`~linhyp.permgroup.automorphism_group` and its cap.
+    """
     if t1.group is not t2.group:
         raise GroupMismatch("triples live in different groups")
+    g = t1.group
+    if g.has_table:
+        order, code = _cayley_walk(g._flat, g.order, t1.indices)
+        if len(order) == g.order:
+            return _cayley_walk(g._flat, g.order, t2.indices, code) is not None
     target = t2.indices
     return any(
         (a.mapping[t1.r0], a.mapping[t1.r1], a.mapping[t1.r2]) == target
-        for a in automorphism_group(t1.group))
+        for a in automorphism_group(g))
 
 
 def core_dichotomy(m: RegularLinearHypermap) -> CoreType:

@@ -225,6 +225,29 @@ def test_flag_count_checked_before_allocation(tmp_path, count):
     assert main(["validate-flags", "--flags", str(bad)]) == 1
 
 
+# int() refuses more than 4300 digits, so the cap is decided on the digit
+# count first; the message quotes the digits past any leading zeros
+DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize("suffix, text, argv, line, label", [
+    (".grp", f"name: a\ndegree: 000{DIGITS}\n" + GRP_TAIL,
+     ["classify", "--group"], 2, "degree"),
+    (".flags", f"flags: {DIGITS}\nr0: (1 2)(3 4)\n" + FLAGS_TAIL,
+     ["validate-flags", "--flags"], None, "flag count"),
+], ids=["grp", "flags"])
+def test_count_of_thousands_of_digits_is_one_parse_error(
+        tmp_path, monkeypatch, capsys, suffix, text, argv, line, label):
+    monkeypatch.delenv("LHM_MAX_GROUP_ORDER", raising=False)
+    path = tmp_path / f"huge{suffix}"
+    path.write_text(text, encoding="utf-8")
+    where = f"{path}:" if line is None else f"{path}:{line}:"
+    assert main(argv + [str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {where} {label} {DIGITS} exceeds the cap of 200000 "
+        "(LHM_MAX_GROUP_ORDER)"]
+
+
 # --- CLI ------------------------------------------------------------------------
 
 
@@ -265,6 +288,71 @@ def test_cli_classify_matches_pinned_ladder_goldens(name, tmp_path):
             "order": data["group_order"], "aut": data["aut_group_size"],
             "admissible": data["admissible_triples"],
             "classes": data["class_count"]} == LADDER_GOLDENS[name]
+
+
+# The same digests for groups past the ladder: a6 and s6xz2 as the
+# automorphism enumeration classified them, and a7, over its 2048-element
+# cap, as checked once against the enumeration with the cap raised to 4096.
+LARGE_GROUP_DIGESTS = {
+    "a6": ("788f0b08b1fb844ac514807d0007c66cccf08bd9e53c3fc87341f2f412826559",
+           360, 1440, 37440, 26),
+    "s6xz2": ("ac3431774f67a81beb525ec829c499ae0437bb534d8584aa5516dabb988f539d",
+              1440, 2880, 132480, 46),
+    "a7": ("c7502ec6f595347309bd7ebaa83a73957d48f8bfd9b0f3e80bc6f950895e97e6",
+           2520, 5040, 186480, 37),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_GROUP_DIGESTS))
+def test_cli_classify_large_groups_match_pinned_digests(name, tmp_path):
+    out = tmp_path / f"{name}.json"
+    group = REPO_ROOT / "perfbench" / "groups" / f"{name}.grp"
+    assert main(["classify", "--group", str(group), "--out", str(out)]) == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+    data.pop("manifest")
+    body = json.dumps(data, indent=2) + "\n"
+    assert (hashlib.sha256(body.encode()).hexdigest(), data["group_order"],
+            data["aut_group_size"], data["admissible_triples"],
+            data["class_count"]) == LARGE_GROUP_DIGESTS[name]
+
+
+def _cycle(first, last):
+    return "(" + " ".join(str(p) for p in range(first, last + 1)) + ")"
+
+
+@pytest.mark.parametrize("degree, gens, message", [
+    # cyclic of order 2050 = lcm(2, 25, 41): one involution, so no classes,
+    # and |Aut| is left to the enumeration, whose cap it exceeds
+    (68, ["(1 2)" + _cycle(3, 27) + _cycle(28, 68)],
+     "|G| = 2050 exceeds the automorphism cap 2048"),
+    # Z2^12: 4095 involutions, but no three of them generate it, so the
+    # scan is skipped rather than run over about 4095^3 triples
+    (24, [f"({2 * i + 1} {2 * i + 2})" for i in range(12)],
+     "|G| = 4096 exceeds the automorphism cap 2048"),
+    # cyclic of order 4098 = lcm(2, 3, 683), past the table limit
+    (688, ["(1 2)" + _cycle(3, 5) + _cycle(6, 688)],
+     "|G| = 4098 exceeds the table limit 4096 that classify needs"),
+    # dihedral of order 2m: m + 1 involutions, so at least (m+1)m(m-1) / 2m
+    # Inn-least triples, far past the scan's 4 * 2048^2 / 2m
+    *((m, [_cycle(1, m), "".join(f"({i} {m + 2 - i})"
+                                 for i in range(2, m // 2 + 1))],
+       f"the Inn(G) scan of |G| = {2 * m} would visit more than "
+       f"{4 * 2048 ** 2 // (2 * m)} triples, its work cap of 4 * 2048^2 / |G|")
+      for m in (1024, 2048)),
+], ids=["cyclic-2050", "z2-power-12", "cyclic-4098", "dihedral-2048",
+        "dihedral-4096"])
+def test_cli_classify_refuses_large_groups_in_one_line(
+        tmp_path, capsys, monkeypatch, degree, gens, message):
+    # each is refused before the scan builds its conjugation rows
+    import importlib
+    cl = importlib.import_module("linhyp.classify")
+    monkeypatch.setattr(cl, "_inner_rows",
+                        lambda *args: pytest.fail("the scan started"))
+    path = tmp_path / "big.grp"
+    path.write_text(f"name: big\ndegree: {degree}\ngens:\n"
+                    + "".join(g + "\n" for g in gens), encoding="utf-8")
+    assert main(["classify", "--group", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 def test_cli_classify_deterministic_bytes(data_dir, tmp_path):

@@ -14,7 +14,7 @@ from linhyp.classify import (
     classify,
     genus_upper_bound,
 )
-from linhyp.errors import GroupTooLargeForAut
+from linhyp.errors import GroupTooLargeForAut, InternalCheckFailed
 from linhyp.hypermap import FlagHypermap, validate_hypermap
 from linhyp.permgroup import (
     Permutation,
@@ -171,6 +171,40 @@ def test_classify_deterministic_across_runs_and_jobs(s4):
                 for x in res.classes]
     assert signature(a) == signature(b) == signature(c)
     assert a.admissible_triple_count == b.admissible_triple_count
+
+
+def test_unequal_survivors_per_cayley_code_is_an_internal_error(
+        monkeypatch, s4xz2):
+    # |Out(S4 x Z2)| = 2, so each code has two survivors; a walk that told
+    # the first survivor apart from its partner leaves codes of one and two
+    import importlib
+    cl = importlib.import_module("linhyp.classify")
+    walk, marked = cl._cayley_walk, []
+
+    def marking_walk(flat, n, gens):
+        order, code = walk(flat, n, gens)
+        if not marked:
+            marked.append(gens)
+            code = code + [0]
+        return order, code
+
+    monkeypatch.setattr(cl, "_cayley_walk", marking_walk)
+    with pytest.raises(InternalCheckFailed,
+                       match=r"unequal survivor counts \[1, 2\]"):
+        classify(s4xz2)
+
+
+def test_scan_refuses_past_its_visit_limit(monkeypatch, s4):
+    # s4 has 9 involutions, so at least 9*8*7 / 24 = 21 Inn-least triples,
+    # and in fact 30: a limit of 25 passes the first count, not the second
+    import importlib
+    cl = importlib.import_module("linhyp.classify")
+    monkeypatch.setattr(cl, "_SCAN_WORK", 25 * s4.order)
+    with pytest.raises(GroupTooLargeForAut, match="more than 25 triples"):
+        classify(s4)
+    visits = sum(1 for _ in cl._self_canonical_triples(
+        cl._inner_rows(s4, involutions(s4)), involutions(s4)))
+    assert visits == 30
 
 
 def test_classify_respects_aut_cap(monkeypatch, s4):
@@ -331,23 +365,27 @@ def test_census_genus_range(a5xz2):
 
 
 def test_census_records_per_group_errors(s4, a5xz2):
-    # shrink the automorphism cap so the larger group fails but not s4
+    # shrink the automorphism cap below 32: only a group with no classes
+    # asks for Aut(G), so the cyclic group of order 32 (one involution)
+    # fails, while s4 and a5xz2 read |Aut| from their Cayley codes
     import importlib
     cl = importlib.import_module("linhyp.classify")
     original = cl.automorphism_group
+    z32 = closure([parse_cycles(
+        "(" + " ".join(str(p) for p in range(1, 33)) + ")", 32)])
 
     def capped(group, max_order=30):
         return original(group, max_order=max_order)
 
     try:
         cl.automorphism_group = capped
-        report = census([("s4", s4), ("a5xz2", a5xz2)])
+        report = census([("s4", s4), ("z32", z32), ("a5xz2", a5xz2)])
     finally:
         cl.automorphism_group = original
     by_name = {s.name: s for s in report.per_group}
-    assert by_name["s4"].ok
-    assert not by_name["a5xz2"].ok
-    assert "GroupTooLargeForAut" in by_name["a5xz2"].error
+    assert by_name["s4"].ok and by_name["a5xz2"].ok
+    assert not by_name["z32"].ok
+    assert "GroupTooLargeForAut" in by_name["z32"].error
 
 
 def test_census_coverage_note_flags_partiality(a5xz2):

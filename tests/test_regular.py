@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import random
 from collections import deque
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_classify import random_generators
 
+from conftest import REPO_ROOT
+from linhyp.catalog import parse_group_file
 from linhyp.classify import admissible_triples, classify
 from linhyp.errors import (
     GroupMismatch,
@@ -18,6 +21,7 @@ from linhyp.errors import (
 from linhyp.hypermap import extract_cells, surface_invariant
 from linhyp.permgroup import (
     Permutation,
+    automorphism_group,
     closure,
     generated_subgroup,
     involutions,
@@ -103,6 +107,23 @@ def test_product_failure_names_an_element_of_hk_kh_outside_h_union_k():
     k = generated_subgroup(g, [t.r0, t.r2])
     assert x in product_set(h, k) and x in product_set(k, h)
     assert x not in h.union(k)
+
+
+@pytest.mark.parametrize("table", [True, False])
+def test_product_excess_from_hk_and_inverses_matches_both_products(
+        a5xz2, monkeypatch, table):
+    # the reference: HK & KH outside H | K from two product bitsets
+    from linhyp.regular import _product_excess
+    rng = random.Random(5)
+    invs = involutions(a5xz2)
+    pairs = [(a5xz2.subgroup_bits(rng.sample(invs, 2)),
+              a5xz2.subgroup_bits(rng.sample(invs, 2))) for _ in range(60)]
+    expected = [a5xz2.product_bits(h, k) & a5xz2.product_bits(k, h) & ~(h | k)
+                for h, k in pairs]
+    if not table:
+        monkeypatch.setattr(a5xz2, "_flat", None)
+    assert [_product_excess(a5xz2, h, k) for h, k in pairs] == expected
+    assert any(expected) and not all(expected)
 
 
 def test_stabilizer_failure_names_an_element_of_h_k_outside_r2(s4):
@@ -235,6 +256,34 @@ def test_isomorphism_matches_canonical_keys_on_s4(s4):
     for i, t1 in enumerate(triples):
         for j, t2 in enumerate(triples):
             assert (keys[i] == keys[j]) == is_isomorphic(t1, t2)
+
+
+@pytest.mark.parametrize("name", ["s4", "a5xz2", "psl27"])
+def test_isomorphism_by_cayley_code_matches_the_automorphism_definition(
+        name):
+    group = parse_group_file(
+        REPO_ROOT / "perfbench" / "groups" / f"{name}.grp").group
+    auts = automorphism_group(group)
+
+    def by_definition(t1, t2):
+        return any((a.mapping[t1.r0], a.mapping[t1.r1], a.mapping[t1.r2])
+                   == t2.indices for a in auts)
+
+    rng = random.Random(name)
+    invs = involutions(group)
+    reps = [c.triple for c in classify(group, name).classes]
+    # automorphism images of the representatives give isomorphic pairs;
+    # random triples, most of them not generating, give the rest
+    images = [InvolutionTriple(group, *(a.mapping[i] for i in t.indices))
+              for t in reps for a in rng.sample(auts, 1)]
+    randoms = [InvolutionTriple(group, *rng.sample(invs, 3))
+               for _ in range(20)]
+    triples = reps + images + randoms
+    verdicts = [(is_isomorphic(t1, t2), by_definition(t1, t2))
+                for t1 in triples for t2 in triples]
+    assert all(code == defined for code, defined in verdicts)
+    # more isomorphic pairs than the diagonal: each image meets its class
+    assert sum(code for code, _ in verdicts) > len(triples)
 
 
 def test_msequence_is_isomorphism_invariant(s4):
