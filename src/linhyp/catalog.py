@@ -97,7 +97,7 @@ def _fields(path: Path, lines: list[tuple[int, str]], keys: tuple[str, ...],
     return fields
 
 
-def _count(label: str, value: str, path: Path, line: int | None = None) -> int:
+def _count(label: str, value: str, path: Path, line: int) -> int:
     """A positive decimal count no larger than the closure cap.
 
     Past its leading zeros, a count with more digits than the cap exceeds
@@ -128,7 +128,7 @@ def parse_group_file(path: str | Path,
                  len(lines))
     fields = _fields(path, lines[:split], ("name", "degree", "times-z2"),
                      "unknown header key")
-    gen_words = [line for _, line in lines[split + 1:]]
+    gen_lines = lines[split + 1:]
     for key in ("name", "degree"):
         if key not in fields:
             raise ParseError(f"missing '{key}:' header", path=str(path))
@@ -138,17 +138,17 @@ def parse_group_file(path: str | Path,
         raise ParseError(f"times-z2 must be true or false, got {flag!r}",
                          path=str(path), line=lineno)
     times_z2 = flag == "true"
-    if not gen_words:
+    if not gen_lines:
         raise ParseError("missing 'gens:' section", path=str(path))
 
     effective = degree + (2 if times_z2 else 0)
     gens: list[Permutation] = []
-    for word in gen_words:
+    for lineno, word in gen_lines:
         try:
             gens.append(parse_cycles(word, degree).extended(effective))
         except LinhypError as exc:
             raise ParseError(f"bad generator {word!r}: {exc}",
-                             path=str(path)) from exc
+                             path=str(path), line=lineno) from exc
     if times_z2:
         gens.append(parse_cycles(f"({degree + 1} {degree + 2})", effective))
     group = closure(gens, max_order=max_order)
@@ -157,7 +157,7 @@ def parse_group_file(path: str | Path,
         source_path=str(path),
         base_degree=degree,
         times_z2=times_z2,
-        generator_words=tuple(gen_words),
+        generator_words=tuple(word for _, word in gen_lines),
         group=group,
     )
 
@@ -198,11 +198,15 @@ def load_flag_hypermap(path: str | Path) -> FlagHypermap:
     for key in keys:
         if key not in fields:
             raise ParseError(f"missing {key!r} line", path=str(path))
-    n = _count("flag count", fields["flags"][1], path)
-    try:
-        perms = [parse_cycles(fields[k][1], n) for k in keys[1:]]
-    except LinhypError as exc:
-        raise ParseError(f"bad involution: {exc}", path=str(path)) from exc
+    n = _count("flag count", fields["flags"][1], path, fields["flags"][0])
+    perms = []
+    for key in keys[1:]:
+        lineno, value = fields[key]
+        try:
+            perms.append(parse_cycles(value, n))
+        except LinhypError as exc:
+            raise ParseError(f"bad involution: {exc}", path=str(path),
+                             line=lineno) from exc
     return FlagHypermap(*perms)
 
 

@@ -49,7 +49,8 @@ class FlagHypermap:
     only ``GroupTooLarge``, for a stabiliser over the closure cap.
     """
 
-    __slots__ = ("flag_count", "r0", "r1", "r2", "_report", "_cells")
+    __slots__ = ("flag_count", "r0", "r1", "r2", "_report", "_cells",
+                 "_orientable")
 
     def __init__(self, r0: Permutation, r1: Permutation, r2: Permutation):
         n = r0.degree
@@ -60,13 +61,13 @@ class FlagHypermap:
         for name, r in (("r0", r0), ("r1", r1), ("r2", r2)):
             if not r.is_involution():
                 raise DegenerateHypermap(f"{name} is not an involution")
-            if r.fixed_points():
-                raise DegenerateHypermap(
-                    f"{name} fixes flag {r.fixed_points()[0]}")
+            if fixed := r.fixed_points():
+                raise DegenerateHypermap(f"{name} fixes flag {fixed[0]}")
         self.flag_count = n
         self.r0, self.r1, self.r2 = r0, r1, r2
         self._report: ValidationReport | None = None
         self._cells: CellStructure | None = None
+        self._orientable: bool | None = None
 
     def validate(self) -> ValidationReport:
         return validate_hypermap(self)
@@ -133,7 +134,15 @@ class LinearHypergraph:
         return sorted(pair for pair, hits in pairs.items() if hits > 1)
 
     def is_linear(self) -> bool:
-        return not self.linearity_violations()
+        """No two hyperedges share two vertices: the hyperedges through each
+        vertex v meet only in v, so their union has ``sum(|e| - 1)``
+        vertices besides v.  No pair is listed."""
+        through: dict[int, list[frozenset[int]]] = {}
+        for e in self.hyperedges:
+            for v in e:
+                through.setdefault(v, []).append(e)
+        return all(len(set().union(*at)) - 1 == sum(map(len, at)) - len(at)
+                   for at in through.values())
 
     def vertex_degrees(self) -> dict[int, int]:
         degrees = dict.fromkeys(self.vertex_ids, 0)
@@ -165,24 +174,46 @@ class ConfigurationReport:
 # --- orbit machinery ---------------------------------------------------------
 
 
-def _orbit_partition(n: int, perms: list[Permutation]) -> list[tuple[int, ...]]:
-    """Orbits of the generated subgroup, as sorted 1-based tuples, ordered
-    by least flag: each is walked from its least unseen flag."""
+def _parity_walk(perms: tuple[Permutation, ...]) -> tuple[int, bool]:
+    """The orbit count of <perms>, and whether the points 2-colour so that
+    every perm swaps the colours: for r0, r1, r2 of a transitive hypermap,
+    whether <r0r1, r1r2> has two orbits, that is orientability."""
     images = [p.images for p in perms]
-    seen = bytearray(n)
-    orbits = []
-    for start in range(n):
-        if not seen[start]:
-            seen[start] = 1
-            orbit = [start]
-            for x in orbit:
+    colour = bytearray(len(images[0]))
+    orbits, swapped = 0, True
+    for start in range(len(colour)):
+        if not colour[start]:
+            orbits += 1
+            colour[start] = 1
+            walk = [start]
+            for x in walk:
+                other = 3 - colour[x]
                 for image in images:
                     y = image[x]
-                    if not seen[y]:
-                        seen[y] = 1
-                        orbit.append(y)
-            orbits.append(tuple(sorted(x + 1 for x in orbit)))
-    return orbits
+                    if not colour[y]:
+                        colour[y] = other
+                        walk.append(y)
+                    elif colour[y] != other:
+                        swapped = False
+    return orbits, swapped
+
+
+def _cells(a: Permutation, b: Permutation) -> tuple[tuple[int, ...], ...]:
+    """Orbits of fixed-point-free involutions a and b, as sorted 1-based
+    tuples, each walked x, a(x), b(a(x)), ... from its least flag."""
+    a, b = a.images, b.images
+    seen = bytearray(len(a))
+    orbits = []
+    for start in range(len(a)):
+        if not seen[start]:
+            orbit, x = [], start
+            while not seen[x]:
+                y = a[x]
+                seen[x] = seen[y] = 1
+                orbit += x + 1, y + 1
+                x = b[y]
+            orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 def _rotations(a: Permutation, b: Permutation, half: int):
@@ -199,8 +230,8 @@ def _rotations(a: Permutation, b: Permutation, half: int):
 
 def validate_hypermap(h: FlagHypermap) -> ValidationReport:
     """Check the full flag-level definition once; failures become report
-    entries.  The report and the three cell partitions are stored on ``h``;
-    later calls return the stored report.
+    entries.  The report, the three cell partitions and orientability are
+    stored on ``h``; later calls return the stored report.
 
     The one exception raised is ``GroupTooLarge``, when ``<r1,r2>`` or
     ``<r0,r2>`` has more elements than the closure cap.  ``<a,b>`` has
@@ -210,7 +241,6 @@ def validate_hypermap(h: FlagHypermap) -> ValidationReport:
     """
     if h._report is not None:
         return h._report
-    n = h.flag_count
     perms = (h.r0, h.r1, h.r2)
     checks = [
         CheckResult("involutions", all(r.is_involution() for r in perms)),
@@ -223,17 +253,14 @@ def validate_hypermap(h: FlagHypermap) -> ValidationReport:
         "pairwise-distinct", distinct,
         "" if distinct else "two of r0, r1, r2 coincide"))
 
-    orbits = _orbit_partition(n, list(perms))
-    transitive = len(orbits) == 1
+    orbits, h._orientable = _parity_walk(perms)
     checks.append(CheckResult(
-        "transitive", transitive,
-        "" if transitive else f"{len(orbits)} monodromy orbits"))
+        "transitive", orbits == 1,
+        "" if orbits == 1 else f"{orbits} monodromy orbits"))
 
-    cells = CellStructure(
-        vertices=tuple(_orbit_partition(n, [h.r1, h.r2])),
-        hyperedges=tuple(_orbit_partition(n, [h.r0, h.r2])),
-        hyperfaces=tuple(_orbit_partition(n, [h.r0, h.r1])),
-    )
+    cells = CellStructure(vertices=_cells(h.r1, h.r2),
+                          hyperedges=_cells(h.r0, h.r2),
+                          hyperfaces=_cells(h.r0, h.r1))
     cap = closure_cap()
     walks = []
     for name, a, cell in (("<r1,r2>", h.r1, cells.vertices),
@@ -304,10 +331,9 @@ def underlying_hypergraph(h: FlagHypermap) -> LinearHypergraph:
     vertex_of = {f: v for v, orbit in enumerate(cells.vertices, 1) for f in orbit}
     hg = LinearHypergraph(tuple(range(1, len(cells.vertices) + 1)), tuple(
         frozenset(vertex_of[f] for f in orbit) for orbit in cells.hyperedges))
-    bad = hg.linearity_violations()
-    if bad:
-        raise LinearityViolation(
-            f"vertex pair {bad[0]} lies in two hyperedges of a validated hypermap")
+    if not hg.is_linear():
+        raise LinearityViolation(f"vertex pair {hg.linearity_violations()[0]} "
+                                 "lies in two hyperedges of a validated hypermap")
     for eid, edge in enumerate(hg.hyperedges, start=1):
         if len(hg.hyperedges) < 2 or len(edge) < 2:
             raise DegenerateHypermap(
@@ -319,8 +345,7 @@ def underlying_hypergraph(h: FlagHypermap) -> LinearHypergraph:
 def orientability(h: FlagHypermap) -> bool:
     """True iff the even-word subgroup <r0r1, r1r2> has two flag orbits."""
     h.require_valid()
-    orbits = _orbit_partition(h.flag_count, [h.r0 * h.r1, h.r1 * h.r2])
-    return len(orbits) == 2
+    return h._orientable
 
 
 def genus_from_euler(chi: int, orientable: bool) -> int:

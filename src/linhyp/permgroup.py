@@ -20,6 +20,7 @@ import struct
 import threading
 from array import array
 from collections import Counter, deque
+from math import lcm
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._frozen import dataclass
@@ -69,6 +70,13 @@ class Permutation:
         self.images = images
 
     @classmethod
+    def _of(cls, images: tuple[int, ...]) -> Permutation:
+        """The permutation with these images, known to be a bijection."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, degree: int) -> Permutation:
         if degree < 1:
             raise ValueError("degree must be positive")
@@ -88,8 +96,9 @@ class Permutation:
         if other.degree != self.degree:
             raise DegreeMismatch(
                 f"degree {self.degree} composed with degree {other.degree}")
-        o = other.images
-        return Permutation(tuple(o[i] for i in self.images))
+        if self.degree == 1:  # itemgetter of one index returns a scalar
+            return other
+        return Permutation._of(operator.itemgetter(*self.images)(other.images))
 
     def __pow__(self, k: int) -> Permutation:
         if k < 0:
@@ -104,28 +113,23 @@ class Permutation:
         return result
 
     def inverse(self) -> Permutation:
-        inv = [0] * self.degree
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Permutation(inv)
+        return Permutation._of(tuple(sorted(range(self.degree),
+                                            key=self.images.__getitem__)))
 
     def order(self) -> int:
-        n = 1
-        p = self
-        ident = tuple(range(self.degree))
-        while p.images != ident:
-            p = p * self
-            n += 1
-        return n
+        return lcm(*map(len, self.cycles()))
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(self.degree))
 
     def is_involution(self) -> bool:
-        return not self.is_identity() and (self * self).is_identity()
+        identity = tuple(range(self.degree))
+        return self.images != identity and (self * self).images == identity
 
     def fixed_points(self) -> tuple[int, ...]:
         """1-based points left unchanged."""
+        if not any(map(operator.eq, self.images, range(self.degree))):
+            return ()
         return tuple(i + 1 for i, v in enumerate(self.images) if v == i)
 
     def extended(self, degree: int) -> Permutation:
@@ -174,7 +178,9 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse whitespace-tolerant disjoint-cycle notation like ``(1 2)(3 5)``.
 
     Points may be separated by spaces or commas.  ``()`` and ``id`` denote
-    the identity; points not mentioned are fixed.
+    the identity; points not mentioned are fixed.  A product of 2-cycles
+    that passes the bulk checks is set in one pass; any other text is read
+    one cycle at a time, which meets its first fault in reading order.
     """
     if degree < 1:
         raise ValueError("degree must be positive")
@@ -183,21 +189,30 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         return Permutation.identity(degree)
     if not s:
         raise MalformedCycle("empty cycle expression")
+    # 2-cycles read "( p q )" four tokens at a time; a point with more digits
+    # than the degree (int() may refuse it) is read one cycle at a time
+    tokens = s.replace("(", " ( ").replace(")", " ) ").split()
+    k = len(tokens) // 4
+    words = tokens[1::4] + tokens[2::4]
     images = list(range(degree))
-    seen: set[int] = set()
-    i, n = 0, len(s)
-    while i < n:
-        ch = s[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch != "(":
-            raise MalformedCycle(f"expected '(' at position {i} in {text!r}")
-        close = s.find(")", i + 1)
-        if close < 0:
-            raise MalformedCycle(f"unclosed cycle in {text!r}")
+    if (len(tokens) == 4 * k
+            and tokens[::4].count("(") == tokens[3::4].count(")") == k
+            and "".join(words).isdecimal()
+            and max(map(len, words)) <= len(str(degree))):
+        points = list(map(int, words))
+        if (min(points) >= 1 and max(points) <= degree
+                and len(set(points)) == len(points)):
+            for p, q in zip(points[:k], points[k:]):
+                images[p - 1], images[q - 1] = q - 1, p - 1
+            return Permutation._of(tuple(images))
+    *pieces, tail = s.split(")")
+    at, seen = 0, set()
+    for head, sep, body in (piece.partition("(") for piece in pieces):
+        if head.strip() or not sep:
+            at += len(head) - len(head.lstrip())
+            raise MalformedCycle(f"expected '(' at position {at} in {text!r}")
         points = []
-        for tok in s[i + 1:close].replace(",", " ").split():
+        for tok in body.replace(",", " ").split():
             if not tok.isdecimal():
                 raise MalformedCycle(f"non-numeric token {tok!r} in {text!r}")
             points.append(int(tok))
@@ -209,8 +224,13 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             seen.add(p)
         for a, b in zip(points, points[1:] + points[:1]):
             images[a - 1] = b - 1
-        i = close + 1
-    return Permutation(images)
+        at += len(head) + len(body) + 2
+    if tail.lstrip().startswith("("):
+        raise MalformedCycle(f"unclosed cycle in {text!r}")
+    if tail:
+        at += len(tail) - len(tail.lstrip())
+        raise MalformedCycle(f"expected '(' at position {at} in {text!r}")
+    return Permutation._of(tuple(images))
 
 
 class FiniteGroup:

@@ -178,7 +178,7 @@ FLAGS_TAIL = "r1: (1 3)(2 4)\nr2: (1 4)(2 3)\n"
     (".grp", "name: a\ndegree: three\n" + GRP_TAIL, 2, "bad degree 'three'"),
     (".grp", "name: a\ndegree: 200001\n" + GRP_TAIL, 2,
      "degree 200001 exceeds the cap of 200000 (LHM_MAX_GROUP_ORDER)"),
-    (".grp", "name: a\ndegree: 3\ngens:\n(1 2\n", None,
+    (".grp", "name: a\ndegree: 3\ngens:\n(1 2\n", 4,
      "bad generator '(1 2': unclosed cycle in '(1 2'"),
     (".flags", None, None, "[Errno 2] No such file or directory: {path!r}"),
     (".flags", "flags: 4\nr0 (1 2)(3 4)\n" + FLAGS_TAIL, 2,
@@ -190,11 +190,11 @@ FLAGS_TAIL = "r1: (1 3)(2 4)\nr2: (1 4)(2 3)\n"
     (".flags", "flags: 4\nr0: (1 2)(3 4)\nr1: (1 3)(2 4)\n", None,
      "missing 'r2' line"),
     (".flags", "r0: (1 2)(3 4)\n" + FLAGS_TAIL, None, "missing 'flags' line"),
-    (".flags", "flags: four\nr0: (1 2)(3 4)\n" + FLAGS_TAIL, None,
+    (".flags", "flags: four\nr0: (1 2)(3 4)\n" + FLAGS_TAIL, 1,
      "bad flag count 'four'"),
-    (".flags", "flags: 200001\nr0: (1 2)(3 4)\n" + FLAGS_TAIL, None,
+    (".flags", "flags: 200001\nr0: (1 2)(3 4)\n" + FLAGS_TAIL, 1,
      "flag count 200001 exceeds the cap of 200000 (LHM_MAX_GROUP_ORDER)"),
-    (".flags", "flags: 4\nr0: (1 2)(3 5)\n" + FLAGS_TAIL, None,
+    (".flags", "flags: 4\nr0: (1 2)(3 5)\n" + FLAGS_TAIL, 2,
      "bad involution: point 5 outside 1..4"),
 ])
 def test_each_input_fault_is_one_parse_error(tmp_path, monkeypatch, capsys,
@@ -234,7 +234,7 @@ DIGITS = "9" * 5000
     (".grp", f"name: a\ndegree: 000{DIGITS}\n" + GRP_TAIL,
      ["classify", "--group"], 2, "degree"),
     (".flags", f"flags: {DIGITS}\nr0: (1 2)(3 4)\n" + FLAGS_TAIL,
-     ["validate-flags", "--flags"], None, "flag count"),
+     ["validate-flags", "--flags"], 1, "flag count"),
 ], ids=["grp", "flags"])
 def test_count_of_thousands_of_digits_is_one_parse_error(
         tmp_path, monkeypatch, capsys, suffix, text, argv, line, label):

@@ -244,12 +244,17 @@ def _pair_count_product_failure(cells):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_involution_triples(max_half=30))
 def test_orbit_and_product_scans_match_their_references(h):
-    from linhyp.hypermap import CellStructure, _orbit_partition, _product_failure
+    from linhyp.hypermap import (
+        CellStructure, _cells, _parity_walk, _product_failure)
 
     n, r0, r1, r2 = h.flag_count, h.r0, h.r1, h.r2
-    for perms in ([r0, r1, r2], [r1, r2], [r0, r2], [r0, r1],
-                  [r0 * r1, r1 * r2]):
-        assert _orbit_partition(n, perms) == _union_find_orbits(n, perms)
+    orbits, swapped = _parity_walk((r0, r1, r2))
+    assert orbits == len(_union_find_orbits(n, [r0, r1, r2]))
+    # each monodromy orbit 2-colours exactly when the even words split it
+    assert swapped == (len(_union_find_orbits(n, [r0 * r1, r1 * r2]))
+                       == 2 * orbits)
+    for pair in ([r1, r2], [r0, r2], [r0, r1]):
+        assert list(_cells(*pair)) == _union_find_orbits(n, pair)
     cells = CellStructure(*(tuple(_union_find_orbits(n, pair))
                             for pair in ([r1, r2], [r0, r2], [r0, r1])))
     assert _product_failure(cells) == _pair_count_product_failure(cells)
@@ -338,10 +343,10 @@ def test_sphere_253_orientable(sphere_253_flags):
 
 
 def test_even_subgroup_orbit_count_is_one_or_two(torus, sphere_253_flags, genus10_flags):
-    from linhyp.hypermap import _orbit_partition
     for h in (torus, sphere_253_flags, genus10_flags):
-        orbits = _orbit_partition(h.flag_count, [h.r0 * h.r1, h.r1 * h.r2])
+        orbits = _union_find_orbits(h.flag_count, [h.r0 * h.r1, h.r1 * h.r2])
         assert len(orbits) in (1, 2)
+        assert orientability(h) == (len(orbits) == 2)
 
 
 def test_torus_surface(torus):
@@ -414,6 +419,17 @@ def test_linearity_violations_match_pairwise_definition():
     assert hg.linearity_violations() == pairwise
     assert hg.vertex_degrees() == {v: sum(v in e for e in edges) for v in ids}
     assert list(hg.vertex_degrees()) == list(ids)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.frozensets(st.integers(1, 8), max_size=5), max_size=8)
+       .flatmap(lambda edges: st.lists(st.sampled_from(edges), max_size=3)
+                .map(lambda twice: edges + twice) if edges else st.just(edges)))
+def test_is_linear_agrees_with_the_pair_count(edges):
+    # the second draw repeats some hyperedges; singletons and empty ones come
+    # from the frozensets themselves
+    hg = LinearHypergraph(tuple(range(1, 9)), tuple(edges))
+    assert hg.is_linear() == (not hg.linearity_violations())
 
 
 def test_hypergraph_rejects_unknown_vertices():

@@ -4,7 +4,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_classify import random_generators
 
@@ -15,6 +15,7 @@ from linhyp.errors import (
     GroupTooLarge,
     GroupTooLargeForAut,
     IndexOutOfRange,
+    LinhypError,
     MalformedCycle,
     NotASubgroup,
     NotInGroup,
@@ -84,6 +85,97 @@ def test_parse_point_out_of_range():
         parse_cycles("(1 8)", 7)
     with pytest.raises(PointOutOfRange):
         parse_cycles("(0 1)", 7)
+
+
+def _reference_parse_cycles(text: str, degree: int) -> tuple[int, ...]:
+    """The cycle-at-a-time parser that the bulk one replaced: the images it
+    gives, or the exception it raises, are the specification."""
+    if degree < 1:
+        raise ValueError("degree must be positive")
+    s = text.strip()
+    if s == "id":
+        return tuple(range(degree))
+    if not s:
+        raise MalformedCycle("empty cycle expression")
+    images = list(range(degree))
+    seen: set[int] = set()
+    i, n = 0, len(s)
+    while i < n:
+        ch = s[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch != "(":
+            raise MalformedCycle(f"expected '(' at position {i} in {text!r}")
+        close = s.find(")", i + 1)
+        if close < 0:
+            raise MalformedCycle(f"unclosed cycle in {text!r}")
+        points = []
+        for tok in s[i + 1:close].replace(",", " ").split():
+            if not tok.isdecimal():
+                raise MalformedCycle(f"non-numeric token {tok!r} in {text!r}")
+            points.append(int(tok))
+        for p in points:
+            if not 1 <= p <= degree:
+                raise PointOutOfRange(f"point {p} outside 1..{degree}")
+            if p in seen:
+                raise RepeatedPoint(f"point {p} repeated in {text!r}")
+            seen.add(p)
+        for a, b in zip(points, points[1:] + points[:1]):
+            images[a - 1] = b - 1
+        i = close + 1
+    return tuple(images)
+
+
+def _parse_outcome(parse, text, degree):
+    try:
+        result = parse(text, degree)
+    except (LinhypError, ValueError) as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, tuple) else result.images
+
+
+@st.composite
+def _cycle_texts(draw):
+    """The cycle string of a random permutation, with its separators
+    redrawn from spaces, commas and tabs."""
+    degree = draw(st.integers(1, 12))
+    images = draw(st.permutations(range(degree)))
+    gap = st.sampled_from(["", " ", "  ", "\t"])
+    sep = st.sampled_from([" ", ",", " , ", "\t"])
+    text = draw(gap)
+    for cycle in Permutation(images).cycles():
+        text += "(" + draw(gap) + draw(sep).join(map(str, cycle)) + ")" + draw(gap)
+    return text or "()", degree
+
+
+# "٣" is ARABIC-INDIC DIGIT THREE, a decimal digit that int() reads as 3;
+# int() refuses the 4301 digits
+_CYCLE_TOKENS = ["x", "٣", "0", "1", "2", "3", "5", "8", "12", "007", "99",
+                 "1" * 4301]
+_CYCLE_CHUNKS = st.one_of(
+    st.sampled_from(["(", ")", ",", " ", *_CYCLE_TOKENS]),
+    st.lists(st.sampled_from(_CYCLE_TOKENS), max_size=4).map(
+        lambda tokens: "(" + " ".join(tokens) + ")"))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@example(("(9 1)(2 " + "1" * 4301 + ")", 5))  # 9 is out of range before int()
+@given(st.one_of(
+    _cycle_texts(),
+    st.tuples(st.lists(_CYCLE_CHUNKS, max_size=6).map("".join),
+              st.integers(1, 9))))
+def test_parse_cycles_matches_the_cycle_at_a_time_reference(case):
+    text, degree = case
+    assert (_parse_outcome(parse_cycles, text, degree)
+            == _parse_outcome(_reference_parse_cycles, text, degree))
+
+
+def test_degree_one_permutation():
+    e = parse_cycles("(1)", 1)
+    assert (e * e).images == (0,) and e * e == e
+    assert not e.is_involution()
+    assert e.fixed_points() == (1,)
 
 
 def test_cycle_string_round_trip():
