@@ -22,7 +22,7 @@ H = <r1,r2> and K = <r0,r2>, and lists neither:
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from math import lcm
 from operator import itemgetter
 
@@ -50,7 +50,7 @@ class FlagHypermap:
     """
 
     __slots__ = ("flag_count", "r0", "r1", "r2", "_report", "_cells",
-                 "_orientable")
+                 "_orientable", "_incidence")
 
     def __init__(self, r0: Permutation, r1: Permutation, r2: Permutation):
         n = r0.degree
@@ -68,6 +68,7 @@ class FlagHypermap:
         self._report: ValidationReport | None = None
         self._cells: CellStructure | None = None
         self._orientable: bool | None = None
+        self._incidence: tuple[frozenset[int], ...] | None = None
 
     def validate(self) -> ValidationReport:
         return validate_hypermap(self)
@@ -103,6 +104,12 @@ class SurfaceInvariant:
     genus: int
 
 
+def _meet_only_at(at: list[frozenset[int]]) -> bool:
+    """Whether the hyperedges ``at``, all through one vertex, meet only in
+    it: then their union has ``sum(|e| - 1)`` vertices besides it."""
+    return len(at) < 2 or len(set().union(*at)) - 1 == sum(map(len, at)) - len(at)
+
+
 @dataclass(frozen=True)
 class LinearHypergraph:
     """A plain hypergraph container; linearity is checked, not assumed.
@@ -135,14 +142,12 @@ class LinearHypergraph:
 
     def is_linear(self) -> bool:
         """No two hyperedges share two vertices: the hyperedges through each
-        vertex v meet only in v, so their union has ``sum(|e| - 1)``
-        vertices besides v.  No pair is listed."""
+        vertex meet only in it (:func:`_meet_only_at`).  No pair is listed."""
         through: dict[int, list[frozenset[int]]] = {}
         for e in self.hyperedges:
             for v in e:
                 through.setdefault(v, []).append(e)
-        return all(len(set().union(*at)) - 1 == sum(map(len, at)) - len(at)
-                   for at in through.values())
+        return all(map(_meet_only_at, through.values()))
 
     def vertex_degrees(self) -> dict[int, int]:
         degrees = dict.fromkeys(self.vertex_ids, 0)
@@ -198,22 +203,23 @@ def _parity_walk(perms: tuple[Permutation, ...]) -> tuple[int, bool]:
     return orbits, swapped
 
 
-def _cells(a: Permutation, b: Permutation) -> tuple[tuple[int, ...], ...]:
+def _cells(a: Permutation, b: Permutation) -> tuple[tuple, list[int]]:
     """Orbits of fixed-point-free involutions a and b, as sorted 1-based
-    tuples, each walked x, a(x), b(a(x)), ... from its least flag."""
+    tuples, each walked x, a(x), b(a(x)), ... from its least flag; and the
+    list of each flag's orbit number 1, 2, ..., indexed by flag (slot 0 is 0)."""
     a, b = a.images, b.images
-    seen = bytearray(len(a))
+    cell = [0] * len(a)
     orbits = []
     for start in range(len(a)):
-        if not seen[start]:
-            orbit, x = [], start
-            while not seen[x]:
+        if not cell[start]:
+            number, orbit, x = len(orbits) + 1, [], start
+            while not cell[x]:
                 y = a[x]
-                seen[x] = seen[y] = 1
+                cell[x] = cell[y] = number
                 orbit += x + 1, y + 1
                 x = b[y]
             orbits.append(tuple(sorted(orbit)))
-    return tuple(orbits)
+    return tuple(orbits), [0, *cell]
 
 
 def _rotations(a: Permutation, b: Permutation, half: int):
@@ -230,8 +236,9 @@ def _rotations(a: Permutation, b: Permutation, half: int):
 
 def validate_hypermap(h: FlagHypermap) -> ValidationReport:
     """Check the full flag-level definition once; failures become report
-    entries.  The report, the three cell partitions and orientability are
-    stored on ``h``; later calls return the stored report.
+    entries.  The report, the three cell partitions, orientability and the
+    incidence (each hyperedge's vertex ids, vertices numbered 1.. in order of
+    least flag) are stored on ``h``; later calls return the stored report.
 
     The one exception raised is ``GroupTooLarge``, when ``<r1,r2>`` or
     ``<r0,r2>`` has more elements than the closure cap.  ``<a,b>`` has
@@ -242,11 +249,9 @@ def validate_hypermap(h: FlagHypermap) -> ValidationReport:
     if h._report is not None:
         return h._report
     perms = (h.r0, h.r1, h.r2)
-    checks = [
-        CheckResult("involutions", all(r.is_involution() for r in perms)),
-        CheckResult("fixed-point-free",
-                    not any(r.fixed_points() for r in perms)),
-    ]
+    # FlagHypermap() admits only fixed-point-free involutions
+    checks = [CheckResult("involutions", True),
+              CheckResult("fixed-point-free", True)]
 
     distinct = len(set(perms)) == 3
     checks.append(CheckResult(
@@ -258,13 +263,13 @@ def validate_hypermap(h: FlagHypermap) -> ValidationReport:
         "transitive", orbits == 1,
         "" if orbits == 1 else f"{orbits} monodromy orbits"))
 
-    cells = CellStructure(vertices=_cells(h.r1, h.r2),
-                          hyperedges=_cells(h.r0, h.r2),
-                          hyperfaces=_cells(h.r0, h.r1))
+    vertices, vertex_of = _cells(h.r1, h.r2)
+    hyperedges, edge_of = _cells(h.r0, h.r2)
+    cells = CellStructure(vertices, hyperedges, _cells(h.r0, h.r1)[0])
     cap = closure_cap()
     walks = []
-    for name, a, cell in (("<r1,r2>", h.r1, cells.vertices),
-                          ("<r0,r2>", h.r0, cells.hyperedges)):
+    for name, a, cell in (("<r1,r2>", h.r1, vertices),
+                          ("<r0,r2>", h.r0, hyperedges)):
         half = lcm(*(len(o) // 2 for o in cell))
         if 2 * half > cap:
             raise GroupTooLarge(f"{name} has {2 * half} elements, over the cap "
@@ -279,7 +284,8 @@ def validate_hypermap(h: FlagHypermap) -> ValidationReport:
         "" if meet == 2 else
         f"<r1,r2> meets <r0,r2> in {meet} elements, expected 2"))
 
-    bad = _product_failure(cells)
+    h._incidence = tuple(frozenset(itemgetter(*e)(vertex_of)) for e in hyperedges)
+    bad = _product_failure(vertices, edge_of, h._incidence)
     checks.append(CheckResult(
         "product-intersection", bad is None,
         "" if bad is None else f"product condition fails at flag {bad}"))
@@ -289,29 +295,21 @@ def validate_hypermap(h: FlagHypermap) -> ValidationReport:
     return h._report
 
 
-def _product_failure(cells: CellStructure) -> int | None:
+def _product_failure(vertices, edge_of, incidence) -> int | None:
     """The least flag whose vertex v shares two hyperedges with another
     vertex of the flag's hyperedge, where the product condition fails; None
-    if none does.  Vertices come in order of least flag; each one of two or
-    more hyperedges gathers the vertices it meets twice, and the scan stops
-    once no later vertex can fail at a lower flag.  Memory is O(flags)."""
-    vertex_of = {f: v for v, orbit in enumerate(cells.vertices) for f in orbit}
-    edge_of = {f: e for e, orbit in enumerate(cells.hyperedges) for f in orbit}
-    members = [{vertex_of[f] for f in orbit} for orbit in cells.hyperedges]
+    if none does.  Vertices, in order of least flag, take the test of
+    ``is_linear`` on ``incidence``; only a failing one gathers the vertices it
+    meets twice.  The scan stops once no later vertex can fail at a lower flag."""
     least = None
-    for v, orbit in enumerate(cells.vertices):
+    for v, orbit in enumerate(vertices, 1):
         if least is not None and orbit[0] > least:
             break
-        at = {edge_of[f] for f in orbit}
-        if len(at) < 2:
-            continue
-        seen, twice = set(), set()
-        for e in at:
-            twice |= seen & members[e]
-            seen |= members[e]
-        twice.discard(v)
-        if twice:
-            flag = next(f for f in orbit if not members[edge_of[f]].isdisjoint(twice))
+        at = [incidence[e - 1] for e in set(itemgetter(*orbit)(edge_of))]
+        if not _meet_only_at(at):
+            twice = {u for u, k in Counter(chain(*at)).items() if k > 1} - {v}
+            flag = next(f for f in orbit
+                        if not incidence[edge_of[f] - 1].isdisjoint(twice))
             least = flag if least is None else min(least, flag)
     return least
 
@@ -326,11 +324,9 @@ def extract_cells(h: FlagHypermap) -> CellStructure:
 
 
 def underlying_hypergraph(h: FlagHypermap) -> LinearHypergraph:
-    """Hyperedges as sets of incident vertices, with linearity re-verified."""
-    cells = extract_cells(h)
-    vertex_of = {f: v for v, orbit in enumerate(cells.vertices, 1) for f in orbit}
-    hg = LinearHypergraph(tuple(range(1, len(cells.vertices) + 1)), tuple(
-        frozenset(vertex_of[f] for f in orbit) for orbit in cells.hyperedges))
+    """The incidence built by validation, with linearity re-verified."""
+    hg = LinearHypergraph(tuple(range(1, len(extract_cells(h).vertices) + 1)),
+                          h._incidence)
     if not hg.is_linear():
         raise LinearityViolation(f"vertex pair {hg.linearity_violations()[0]} "
                                  "lies in two hyperedges of a validated hypermap")

@@ -211,17 +211,20 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         if head.strip() or not sep:
             at += len(head) - len(head.lstrip())
             raise MalformedCycle(f"expected '(' at position {at} in {text!r}")
-        points = []
-        for tok in body.replace(",", " ").split():
+        points = body.replace(",", " ").split()
+        for tok in points:
             if not tok.isdecimal():
                 raise MalformedCycle(f"non-numeric token {tok!r} in {text!r}")
-            points.append(int(tok))
-        for p in points:
-            if not 1 <= p <= degree:
-                raise PointOutOfRange(f"point {p} outside 1..{degree}")
+        for i, tok in enumerate(points):
+            # sized before int(), which refuses a point of over 4300 digits
+            digits = "".join(map(str, map(int, tok))).lstrip("0") or "0"
+            if (len(digits) > len(str(degree))
+                    or not 1 <= (p := int(digits)) <= degree):
+                raise PointOutOfRange(f"point {digits} outside 1..{degree}")
             if p in seen:
                 raise RepeatedPoint(f"point {p} repeated in {text!r}")
             seen.add(p)
+            points[i] = p
         for a, b in zip(points, points[1:] + points[:1]):
             images[a - 1] = b - 1
         at += len(head) + len(body) + 2

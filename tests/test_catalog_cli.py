@@ -258,6 +258,26 @@ def run_cli(*argv) -> tuple[int, str, str]:
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_point_of_thousands_of_digits_is_one_error_line(data_dir, tmp_path):
+    # int() refuses a point of more than 4300 digits; parse_cycles refuses
+    # it first, as out of range
+    point = "1" * 5000
+    flags = tmp_path / "huge-point.flags"
+    flags.write_text(f"flags: 4\nr0: (1 {point})\nr1: (1 3)(2 4)\n"
+                     "r2: (1 4)(2 3)\n", encoding="utf-8")
+    grp = tmp_path / "huge-point.grp"
+    grp.write_text(f"name: huge\ndegree: 4\ngens:\n(1 {point})\n",
+                   encoding="utf-8")
+    for argv in (["validate-flags", "--flags", str(flags)],
+                 ["classify", "--group", str(grp)],
+                 ["invariants", "--group", str(data_dir / "s4.grp"),
+                  "--triple", f"(1 {point}); (1 2); (3 4)"]):
+        code, _, err = run_cli(*argv)
+        assert code == 1, err
+        assert len(err.splitlines()) == 1, err
+        assert f"point {point} outside 1..4" in err
+
+
 def test_cli_classify_json(data_dir, tmp_path):
     out = tmp_path / "s4.json"
     code = main(["classify", "--group", str(data_dir / "s4.grp"),

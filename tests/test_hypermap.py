@@ -253,11 +253,19 @@ def test_orbit_and_product_scans_match_their_references(h):
     # each monodromy orbit 2-colours exactly when the even words split it
     assert swapped == (len(_union_find_orbits(n, [r0 * r1, r1 * r2]))
                        == 2 * orbits)
+    numbers = []
     for pair in ([r1, r2], [r0, r2], [r0, r1]):
-        assert list(_cells(*pair)) == _union_find_orbits(n, pair)
+        orbits, cell_of = _cells(*pair)
+        assert list(orbits) == _union_find_orbits(n, pair)
+        assert cell_of == [0] + [next(c for c, o in enumerate(orbits, 1) if f in o)
+                                 for f in range(1, n + 1)]
+        numbers.append(cell_of)
     cells = CellStructure(*(tuple(_union_find_orbits(n, pair))
                             for pair in ([r1, r2], [r0, r2], [r0, r1])))
-    assert _product_failure(cells) == _pair_count_product_failure(cells)
+    vertex_of, edge_of = numbers[:2]
+    incidence = tuple(frozenset(vertex_of[f] for f in e) for e in cells.hyperedges)
+    assert (_product_failure(cells.vertices, edge_of, incidence)
+            == _pair_count_product_failure(cells))
 
 
 # --- cells ---------------------------------------------------------------------
@@ -325,6 +333,23 @@ def test_smallest_dihedral_hypergraph():
 def test_underlying_hypergraph_always_linear_on_validated(torus, genus10_flags):
     for h in (torus, genus10_flags):
         assert underlying_hypergraph(h).is_linear()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_involution_triples())
+def test_underlying_hypergraph_matches_a_flag_to_vertex_rebuild(h):
+    # the incidence kept by validation against one rebuilt from the cells
+    if not validate_hypermap(h).ok:
+        return
+    cells = extract_cells(h)
+    vertex_of = {f: v for v, orbit in enumerate(cells.vertices, 1) for f in orbit}
+    expected = LinearHypergraph(tuple(range(1, len(cells.vertices) + 1)), tuple(
+        frozenset(vertex_of[f] for f in orbit) for orbit in cells.hyperedges))
+    if len(expected.hyperedges) < 2 or min(map(len, expected.hyperedges)) < 2:
+        with pytest.raises(DegenerateHypermap):
+            underlying_hypergraph(h)
+    else:
+        assert underlying_hypergraph(h) == expected
 
 
 # --- orientability and genus ----------------------------------------------------
@@ -464,6 +489,21 @@ def test_each_flag_hypermap_is_validated_once(monkeypatch, capsys, data_dir):
                  str(data_dir / "torus9.flags")]) == 0
     assert "genus 1" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_validation_trusts_the_constructor_for_involutions(monkeypatch, torus):
+    # FlagHypermap() already refused any ri that is not a fixed-point-free
+    # involution, so validation does not test that again
+    h = FlagHypermap(torus.r0, torus.r1, torus.r2)
+
+    def refuse(self, *args):
+        raise AssertionError("recomputed after construction")
+    monkeypatch.setattr(Permutation, "is_involution", refuse)
+    monkeypatch.setattr(Permutation, "fixed_points", refuse)
+    report = validate_hypermap(h)
+    assert report.ok
+    assert [(c.name, c.passed) for c in report.checks[:2]] == [
+        ("involutions", True), ("fixed-point-free", True)]
 
 
 def _hostile_flags(path, halves=(2, 3, 5, 7, 11, 13, 17, 19, 23)):
