@@ -10,7 +10,8 @@ H = <r1,r2> and K = <r0,r2>, and lists neither:
   r2*rho^i, with rho = a*r2 of order N (powers of rho keep the two alternate
   flag classes of each orbit; fixed-point-free r2 swaps them).  r2*rho^i is
   in the other group exactly when rho^i is, so |H & K| is twice the number
-  of powers of one rho found in the other group.
+  of powers of one rho found in the other group.  Those powers are the
+  powers of rho^d for the least such d, a divisor of N, so |H & K| = 2N/d.
 - HK(phi) & KH(phi) = H(phi) | K(phi) at every flag phi.  With v and e the
   vertex and hyperedge of phi, HK(phi) is the union of the hyperedges that
   meet v and KH(phi) that of the vertices that meet e.  A flag outside
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain, combinations
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter
 
 from ._frozen import dataclass
@@ -142,12 +143,17 @@ class LinearHypergraph:
 
     def is_linear(self) -> bool:
         """No two hyperedges share two vertices: the hyperedges through each
-        vertex meet only in it (:func:`_meet_only_at`).  No pair is listed."""
-        through: dict[int, list[frozenset[int]]] = {}
-        for e in self.hyperedges:
-            for v in e:
-                through.setdefault(v, []).append(e)
-        return all(map(_meet_only_at, through.values()))
+        vertex meet only in it (:func:`_meet_only_at`).  No pair is listed;
+        the verdict is kept on the (frozen) instance."""
+        linear = self.__dict__.get("_linear")
+        if linear is None:
+            through: dict[int, list[frozenset[int]]] = {}
+            for e in self.hyperedges:
+                for v in e:
+                    through.setdefault(v, []).append(e)
+            linear = all(map(_meet_only_at, through.values()))
+            object.__setattr__(self, "_linear", linear)
+        return linear
 
     def vertex_degrees(self) -> dict[int, int]:
         degrees = dict.fromkeys(self.vertex_ids, 0)
@@ -222,13 +228,47 @@ def _cells(a: Permutation, b: Permutation) -> tuple[tuple, list[int]]:
     return tuple(orbits), [0, *cell]
 
 
-def _rotations(a: Permutation, b: Permutation, half: int):
-    """Yield the ``half`` powers of ``rho = a*b`` as image tuples."""
-    x = tuple(range(len(a.images)))
-    then_rho = itemgetter(*(a * b).images)
-    for _ in range(half):
-        yield x
-        x = then_rho(x)
+def _meet_order(a: Permutation, b: Permutation, r2: Permutation,
+                half: int) -> int:
+    """``|<a,r2> & <b,r2>|``, with ``rho = a*r2`` of order ``half``, in
+    O(flags) memory.  The powers of rho in ``<b,r2>`` are the powers of
+    ``rho^d`` for the least such d, so the meet has ``2*half/d`` elements; d
+    comes by prime descent from ``half``: while ``rho^(d/p)`` is in
+    ``<b,r2>``, divide d by p.  x is in ``<b,r2>`` when x or ``x*r2`` is a
+    power of ``sigma = b*r2``: it turns each cycle of sigma by an offset,
+    and the offsets agree modulo the cycle lengths (the Chinese remainder
+    theorem)."""
+    sigma = (b * r2).images
+    cycles, at = [], [-1] * len(sigma)
+    for start in range(len(sigma)):
+        cycle, x = [], start
+        while at[x] < 0:
+            at[x] = len(cycle)
+            cycle.append(x)
+            x = sigma[x]
+        if cycle:
+            cycles.append(cycle)
+
+    def is_power(x: tuple[int, ...]) -> bool:
+        j, period = 0, 1  # sigma^j agrees with x on the cycles so far
+        for cycle in cycles:
+            m, o = len(cycle), at[x[cycle[0]]]
+            g = gcd(period, m)
+            if [x[f] for f in cycle] != cycle[o:] + cycle[:o] or (o - j) % g:
+                return False
+            k = (o - j) // g * pow(period // g, -1, m // g) % (m // g)
+            j, period = j + period * k, period * (m // g)
+        return True
+
+    rho, d, m = a * r2, half, half
+    for p in range(2, len(sigma)):  # half's primes are below the flag count
+        if m % p == 0:  # p is prime: m has lost every smaller prime
+            while m % p == 0:
+                m //= p
+            while d % p == 0 and (is_power((x := rho ** (d // p)).images)
+                                  or is_power((x * r2).images)):
+                d //= p
+    return 2 * half // d
 
 
 # --- validation ----------------------------------------------------------------
@@ -274,11 +314,9 @@ def validate_hypermap(h: FlagHypermap) -> ValidationReport:
         if 2 * half > cap:
             raise GroupTooLarge(f"{name} has {2 * half} elements, over the cap "
                                 f"of {cap} ({CLOSURE_CAP_ENV})")
-        walks.append((a, h.r2, half))
-    small, large = sorted(walks, key=lambda w: w[2])
-    rotations = set(_rotations(*small))
-    members = rotations | set(map(itemgetter(*h.r2.images), rotations))
-    meet = 2 * sum(x in members for x in _rotations(*large))
+        walks.append((half, a))
+    (half, a), (_, b) = sorted(walks, key=itemgetter(0))
+    meet = _meet_order(a, b, h.r2, half)
     checks.append(CheckResult(
         "stabilizer-intersection", meet == 2,
         "" if meet == 2 else

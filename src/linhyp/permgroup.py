@@ -13,6 +13,7 @@ then ``q``, so exponent-style actions compose naturally.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import os
@@ -395,41 +396,52 @@ class FiniteGroup:
         is skipped.  The first new seed gives a cyclic group, its powers.
         Each later seed ``s`` gives ``<H, s>`` as the union of left cosets
         ``yH``: the representatives ``y`` are walked from the identity under
-        left multiplication by the seeds so far, and each new one brings
-        its whole coset at once: one gather of table row ``y``, or one
-        ``mul`` per element in a group without a table.  So only
-        ``|<H, s>| / |H|`` representatives take a step each.
+        left multiplication by the seeds so far, one read of a seed's table
+        row per step, and each new one brings its whole coset at once: one
+        gather of table row ``y``, or one ``mul`` per element in a group
+        without a table.  So only ``|<H, s>| / |H|`` representatives take a
+        step each.
+
+        The walk stops as soon as it holds more than ``|G|/2`` elements.
+        They lie in ``<H, s>``, a subgroup of order dividing ``|G|``
+        (Lagrange) and over ``|G|/2``, so ``<H, s>``, and the subgroup the
+        seeds generate with it, is the whole group: the exit is exact.
         """
         for s in seeds:
             self.check_index(s)
         n, mul = self.order, self.mul
+        half, whole = n // 2, (1 << n) - 1
         rows = None if self._flat is None else memoryview(self._flat)
         members = {0}
-        gens: list[int] = []
+        steps = []  # left multiplication by each seed so far
         for s in seeds:
             if s in members:
                 continue
-            gens.append(s)
+            step = (rows[s * n:(s + 1) * n].__getitem__ if rows is not None
+                    else functools.partial(mul, s))
+            steps.append(step)
             if len(members) == 1:
                 x = s
                 while x:
                     members.add(x)
-                    x = mul(x, s)
+                    x = step(x)  # s * x = x * s
+                if len(members) > half:
+                    return whole
                 continue
             h = tuple(members)
             take = operator.itemgetter(*h)
             reps = [0]
             for r in reps:
                 # at the identity, only s leaves H: t * 1 = t for the rest
-                for t in gens if r else (s,):
-                    y = mul(t, r)
+                for t in steps if r else (step,):
+                    y = t(r)
                     if y not in members:
                         members.update(take(rows[y * n:(y + 1) * n])
                                        if rows is not None
                                        else [mul(y, x) for x in h])
+                        if len(members) > half:
+                            return whole
                         reps.append(y)
-        if len(members) == n:
-            return (1 << n) - 1
         return _bits_of(members, n)
 
     def product_bits(self, a_bits: int, b_bits: int) -> int:

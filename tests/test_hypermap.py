@@ -576,6 +576,72 @@ def test_stabiliser_meet_walks_without_listing_the_larger_stabiliser(tmp_path):
             "elements, expected 2") in proc.stdout.splitlines()
 
 
+@pytest.mark.parametrize("halves", [(2, 4), (3, 6, 4, 1), (8, 9, 5, 7, 11)])
+def test_equal_stabilisers_meet_in_the_whole_group(tmp_path, halves):
+    # r0 = r1 makes H = K, so |H & K| = |H| = 2 * lcm(halves); cycles of
+    # sigma of lengths 2, 2, 4, 4 need the offsets combined modulo the lcm
+    from math import lcm
+
+    from linhyp.catalog import load_flag_hypermap
+
+    h = load_flag_hypermap(_hostile_flags(tmp_path / "equal.flags", halves))
+    report = validate_hypermap(FlagHypermap(h.r1, h.r1, h.r2))
+    assert report.check("stabilizer-intersection").detail == (
+        f"<r1,r2> meets <r0,r2> in {2 * lcm(*halves)} elements, expected 2")
+
+
+def test_stabiliser_meet_of_2000_flags_needs_no_element_list(tmp_path):
+    # r0 = r1 on an 80-flag core of half-lengths 8, 9, 5, 7, 11, padded to
+    # 2000 flags with blocks where r1 = r2: both stabilisers have 55440
+    # elements and meet in 27720; holding one as image tuples took 875 MB
+    import resource
+    import subprocess
+    import sys
+
+    limit = 200 * 2**20
+    r1, r2, start = [], [], 1
+    for half in (8, 9, 5, 7, 11):
+        p = range(start, start + 2 * half)
+        r1 += [(p[2 * i], p[2 * i + 1]) for i in range(half)]
+        r2 += [(p[2 * i + 1], p[(2 * i + 2) % (2 * half)]) for i in range(half)]
+        start += 2 * half
+    r0 = list(r1)
+    for b in range(start, 2001, 4):
+        r1 += [(b, b + 1), (b + 2, b + 3)]
+        r2 += [(b, b + 1), (b + 2, b + 3)]
+        r0 += [(b, b + 2), (b + 1, b + 3)]
+    words = ["".join(f"({a} {b})" for a, b in r) for r in (r0, r1, r2)]
+    path = tmp_path / "meet.flags"
+    path.write_text("flags: 2000\n" + "".join(
+        f"r{i}: {w}\n" for i, w in enumerate(words)), encoding="utf-8")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "linhyp.cli", "validate-flags", "--flags",
+         str(path)], capture_output=True, text=True, timeout=120,
+        preexec_fn=cap_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert ("stabilizer-intersection: FAIL  <r1,r2> meets <r0,r2> in 27720 "
+            "elements, expected 2") in proc.stdout.splitlines()
+    assert proc.stderr == ""
+
+
+def test_valid_flag_path_decides_linearity_once(monkeypatch, torus):
+    # configuration_check(underlying_hypergraph(h)) asks is_linear() twice
+    # of one hypergraph; the verdict is kept, so each vertex is tested once
+    import linhyp.hypermap as hm
+
+    validate_hypermap(torus)
+    tested = []
+    meet_only_at = hm._meet_only_at
+    monkeypatch.setattr(hm, "_meet_only_at",
+                        lambda at: tested.append(at) or meet_only_at(at))
+    assert configuration_check(underlying_hypergraph(torus)).linear
+    assert len(tested) == len(extract_cells(torus).vertices)
+
+
 def test_product_condition_scans_flags_without_listing_vertex_pairs(tmp_path):
     # r1 = r2 makes 2000 two-flag vertices and one hyperedge over all 4000
     # flags: its C(2000, 2) vertex pairs take about 226 MB as a Counter

@@ -400,6 +400,54 @@ def test_subgroup_bits_matches_breadth_first_closure(images, data):
             assert g.subgroup_bits(s) == _breadth_first_closure(g, s)
 
 
+@pytest.mark.parametrize("table", [True, False])
+def test_subgroup_of_exactly_half_the_group_keeps_its_own_bits(table):
+    # the closure stops only past |G|/2: A5 in S5 (cosets of <(1 2 3)>) and
+    # the rotations of D8 (one cyclic seed, or cosets of <rho^2>) have
+    # exactly |G|/2 elements and are not the whole group
+    with pytest.MonkeyPatch.context() as mp:
+        if not table:
+            mp.setattr(permgroup, "TABLE_LIMIT", 0)
+        s5 = closure([parse_cycles(w, 5) for w in ("(1 2)", "(1 2 3 4 5)")])
+        d8 = closure([parse_cycles(w, 8) for w in ("(1 2 3 4 5 6 7 8)",
+                                                   "(2 8)(3 7)(4 6)")])
+    assert s5.has_table is table and d8.has_table is table
+    even = sum(1 << i for i, p in enumerate(s5.elements)
+               if sum(len(c) - 1 for c in p.cycles()) % 2 == 0)
+    seeds = [s5.index_of(parse_cycles(w, 5)) for w in ("(1 2 3)", "(3 4 5)")]
+    assert s5.subgroup_bits(seeds) == even and even.bit_count() == 60
+    rho = d8.index_of(parse_cycles("(1 2 3 4 5 6 7 8)", 8))
+    rotations = _breadth_first_closure(d8, [rho])
+    assert rotations.bit_count() == 8
+    assert d8.subgroup_bits([rho]) == rotations
+    assert d8.subgroup_bits([d8.mul(rho, rho), rho]) == rotations
+
+
+def test_generating_pair_of_a7_stops_past_half_the_group(monkeypatch):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permgroup, "TABLE_LIMIT", 0)
+        a7 = closure([parse_cycles(w, 7) for w in ("(1 2 3 4 5 6 7)", "(1 2 3)")])
+    assert not a7.has_table and a7.order == 2520
+    n = a7.order
+    s, t = (a7.index_of(parse_cycles(w, 7)) for w in ("(1 2 3 4 5 6 7)", "(1 2 3)"))
+    block = a7.element_order(s)
+    calls = 0
+    mul = a7.mul
+
+    def counting_mul(i, j):
+        nonlocal calls
+        calls += 1
+        return mul(i, j)
+
+    monkeypatch.setattr(a7, "mul", counting_mul)
+    assert a7.subgroup_bits((s, t)) == (1 << n) - 1
+    # without a table every element gathered is one mul: the cyclic group
+    # <s> and its cosets, at most n/2 + |<s>| before the walk stops, plus
+    # one step per seed from each coset representative walked; the full
+    # walk would gather all n
+    assert calls <= n // 2 + block + 2 * (n // (2 * block) + 1) < n
+
+
 def test_lagrange_for_all_involution_pairs(s4):
     invs = involutions(s4)
     for a, b in itertools.combinations(invs, 2):
