@@ -24,7 +24,9 @@ stream of checks, cheapest first; the scan and the brute-force
 ``admissible_triples`` oracle each share one memo of pair subgroups and
 product verdicts per group and drop a triple at its first failed check.
 Each class is built from its checked key without a second check, reading
-its vertex and hyperedge stabilisers and its orientability from the memo.
+its vertex and hyperedge stabilisers and its span from the memo; its
+orientability comes from the group's square subgroup ``G^2``, which
+:func:`_may_have_classes` closes before the scan and the group keeps.
 
 Only a group with no classes leaves ``|Aut|`` unknown; it alone calls
 :func:`~linhyp.permgroup.automorphism_group`, which keeps the 2048-element
@@ -166,10 +168,8 @@ def _may_have_classes(group: FiniteGroup, invs: list[int]) -> bool:
     ``|G : G^2| <= 8``.  This keeps groups like Z2^k with k > 3, which have
     many involutions and a trivial Inn, out of the scan.
     """
-    if len(invs) < 3:
-        return False
-    squares = sorted(set(group._flat[::group.order + 1]))
-    return group.order <= 8 * group.subgroup_bits(squares).bit_count()
+    return (len(invs) >= 3
+            and group.order <= 8 * group._square_bits().bit_count())
 
 
 # Each triple the scan visits costs O(|G|) and may leave |G|-bit subgroups

@@ -274,6 +274,7 @@ class FiniteGroup:
         self._inverse = array("I", (self._index[e.inverse().images]
                                     for e in self.elements))
         self._orders: list[int | None] = [None] * self.order
+        self._squares: int | None = None
         self._words: list[str | None] = [None] * self.order
         self._aut_cache: tuple[GroupAutomorphism, ...] | None = None
         self._aut_lock = threading.Lock()
@@ -443,6 +444,15 @@ class FiniteGroup:
                             return whole
                         reps.append(y)
         return _bits_of(members, n)
+
+    def _square_bits(self) -> int:
+        """Bitset of ``G^2``, the subgroup the squares generate, closed once
+        and kept."""
+        if self._squares is None:
+            squares = (self._flat[::self.order + 1] if self._flat is not None
+                       else [self.mul(x, x) for x in range(self.order)])
+            self._squares = self.subgroup_bits(sorted(set(squares)))
+        return self._squares
 
     def product_bits(self, a_bits: int, b_bits: int) -> int:
         """Bitset of all products x*y with x in ``a_bits``, y in ``b_bits``."""

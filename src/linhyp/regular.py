@@ -5,21 +5,22 @@ flags, the flags can be identified with the group elements and everything
 becomes index arithmetic: the triple (r0, r1, r2) determines vertex,
 hyperedge and hyperface stabilizers H = <r1,r2>, K = <r0,r2>, L = <r0,r1>,
 and the whole invariant vector of the hypermap follows from element orders
-(see ``m_sequence``) and from one closure, of the rotation subgroup
-E = <r0r2, r1r2>.  E holds the words of even length in r0, r1, r2, since
-r_i r_j = (r_i r2)(r_j r2)^-1, and it is normal in <r0, r1, r2> = E u r0E,
-so it has index 1 or 2 there: the triple spans |E| elements when r0 is in
-E and 2|E| when it is not, and a generating triple is orientable exactly
-when r0 is not in E.
+(see ``m_sequence``), from one closure of the span S = <r0, r1, r2> and
+from the square subgroup G^2, which the group closes once and keeps.  A
+generating triple is orientable when some homomorphism G -> Z2 sends each
+r_i to the generator.  Every such homomorphism factors through the
+elementary abelian G/G^2, so it exists exactly when no odd subset of the
+images of r0, r1, r2 sums to zero there: when none of r0, r1, r2 and
+r0 r1 r2 lies in G^2.
 
 Admissibility is coded once, in ``_conditions``: the two subgroup
 conditions ``H & K = <r2>`` and ``HK & KH = H | K``, then generation from
-the closure of E.  It yields the checks cheapest first, because the
+the closure of S.  It yields the checks cheapest first, because the
 subgroup conditions need only the two pair subgroups, which a caller
 checking many triples of one group shares through its memo.
 ``validate_regular`` runs it to the end; ``classify`` and
 ``admissible_triples`` stop at the first failure.  A hypermap is built
-from the memo its check filled, so H, K and E are not closed again.
+from the memo its check filled, so H, K and S are not closed again.
 """
 
 from __future__ import annotations
@@ -135,9 +136,10 @@ def _conditions(group: FiniteGroup, r0: int, r1: int, r2: int,
     """The admissibility checks of ``(r0, r1, r2)``, cheapest first.
 
     ``memo`` is owned by the caller and shared across triples of one
-    group: it keeps each pair subgroup (H, K and E) under its sorted
-    index pair and, under ``("HK", H, K)`` for the sorted bitset pair, the
-    elements of ``HK & KH`` outside ``H | K``.  A failed check names the
+    group: it keeps each pair subgroup (H and K) under its sorted index
+    pair, each span S under its sorted index triple and, under
+    ``("HK", H, K)`` for the sorted bitset pair, the elements of
+    ``HK & KH`` outside ``H | K``.  A failed check names the
     least such element in its detail.
     """
     h = _pair_bits(group, r1, r2, memo)
@@ -182,35 +184,51 @@ def _product_excess(group: FiniteGroup, h: int, k: int) -> int:
 
 
 def _pair_bits(group: FiniteGroup, a: int, b: int, memo: dict) -> int:
+    """The dihedral group ``<a, b>`` as a bitset, closed from its rotation:
+    one cyclic stage, then one coset gather."""
     key = (a, b) if a < b else (b, a)
     bits = memo.get(key)
     if bits is None:
-        bits = memo[key] = group.subgroup_bits(key)
+        bits = memo[key] = group.subgroup_bits((group.mul(*key), key[0]))
     return bits
 
 
-def _rotation_bits(group: FiniteGroup, r0: int, r1: int, r2: int,
-                   memo: dict) -> int:
-    """The rotation subgroup ``E = <r0r2, r1r2>`` as a bitset.
+def _span_bits(group: FiniteGroup, r0: int, r1: int, r2: int,
+               memo: dict) -> int:
+    """The span ``S = <r0, r1, r2>`` as a bitset.
 
-    Any two of r1r2, r0r2 and r0r1 generate E, and the closure takes one
-    step per coset of its first seed's cyclic group, so the seeds lead with
-    the rotation of largest order.
+    The closure leads with the product ``x*y`` of largest order among
+    r1r2, r0r2 and r0r1, then ``x``, so that the third involution ``z``
+    is added by walking the cosets of the largest dihedral pair subgroup
+    ``<x, y>``, one step each.
     """
-    a, b = group.mul(r0, r2), group.mul(r1, r2)
-    key = (a, b) if a < b else (b, a)
+    key = tuple(sorted((r0, r1, r2)))
     bits = memo.get(key)
     if bits is None:
-        bits = memo[key] = group.subgroup_bits(sorted(
-            (a, b, group.mul(r0, r1)), key=group.element_order, reverse=True))
+        x, y, z = max(((r1, r2, r0), (r0, r2, r1), (r0, r1, r2)),
+                      key=lambda p: group.element_order(group.mul(p[0], p[1])))
+        bits = memo[key] = group.subgroup_bits((group.mul(x, y), x, z))
     return bits
 
 
 def _span(group: FiniteGroup, r0: int, r1: int, r2: int, memo: dict) -> int:
-    """``|<r0, r1, r2>|`` from the one closure of E, which has index 1 or 2:
-    ``|E|`` when r0 lies in E, ``2|E|`` when it does not."""
-    e = _rotation_bits(group, r0, r1, r2, memo)
-    return e.bit_count() if e >> r0 & 1 else 2 * e.bit_count()
+    """``|<r0, r1, r2>|``."""
+    return _span_bits(group, r0, r1, r2, memo).bit_count()
+
+
+def _orientable(group: FiniteGroup, r0: int, r1: int, r2: int,
+                memo: dict) -> bool:
+    """Whether some homomorphism S -> Z2 sends r0, r1 and r2 to the
+    generator: exactly when none of r0, r1, r2 and r0 r1 r2 lies in the
+    square subgroup of S, which is the group's kept G^2 when S = G."""
+    s = _span_bits(group, r0, r1, r2, memo)
+    if s.bit_count() == group.order:
+        squares = group._square_bits()
+    else:
+        squares = group.subgroup_bits(
+            sorted({group.mul(x, x) for x in _bit_indices(s)}))
+    r012 = group.mul(group.mul(r0, r1), r2)
+    return not any(squares >> x & 1 for x in (r0, r1, r2, r012))
 
 
 def validate_regular(t: InvolutionTriple) -> ValidationReport:
@@ -246,14 +264,15 @@ class RegularLinearHypermap:
     def _of(cls, t: InvolutionTriple, memo: dict) -> RegularLinearHypermap:
         """The hypermap of a triple already known to be admissible: the one
         place that builds the stabilizers, and it does not check.  H, K and
-        E come from the ``memo`` of that check; L is the one new closure."""
+        S come from the ``memo`` of that check; L is the one new closure."""
         g, (r0, r1, r2) = t.group, t.indices
         return cls(
             triple=t,
             vertex_stabilizer=ElementSet(g, _pair_bits(g, r1, r2, memo)),
             hyperedge_stabilizer=ElementSet(g, _pair_bits(g, r0, r2, memo)),
-            hyperface_stabilizer=ElementSet(g, g.subgroup_bits((r0, r1))),
-            orientable=not _rotation_bits(g, r0, r1, r2, memo) >> r0 & 1,
+            hyperface_stabilizer=ElementSet(
+                g, g.subgroup_bits((g.mul(r0, r1), r0))),
+            orientable=_orientable(g, r0, r1, r2, memo),
         )
 
     @property
@@ -310,8 +329,9 @@ def dual(m: RegularLinearHypermap) -> RegularLinearHypermap:
     stabilizers are m's own: the dual's vertex stabilizer <r0,r2> is m's
     hyperedge stabilizer and vice versa, and <r0,r1> stays the hyperface
     stabilizer, so no subgroup is closed again.  The swapped triple has the
-    same E, and r1 lies in it exactly when r0 does, so orientability too
-    carries over.
+    same span, and r1 r0 r2 lies in the square subgroup exactly when
+    r0 r1 r2 does, since the quotient by it is abelian, so orientability
+    too carries over.
     """
     t = m.triple
     return RegularLinearHypermap(

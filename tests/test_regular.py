@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import pickle
 import random
 from collections import deque
 
@@ -33,6 +34,7 @@ from linhyp.regular import (
     InvolutionTriple,
     MSequence,
     RegularLinearHypermap,
+    _span,
     is_isomorphic,
     triple_from_words,
     validate_regular,
@@ -352,7 +354,7 @@ def test_round_trip_cell_counts_match_subgroup_indices(a5xz2):
     assert len(cells.hyperfaces) == g.order // len(m.hyperface_stabilizer)
 
 
-# --- one rotation closure ------------------------------------------------------------
+# --- generation and orientability ------------------------------------------------------------
 
 _ORACLE_GROUPS = {
     "s4": (["(1 2)", "(1 2 3 4)"], 4),
@@ -419,27 +421,45 @@ def test_rotation_closure_matches_independent_oracles(source, data):
             for pair in ((r1, r2), (r0, r2), (r0, r1)))
 
 
-def test_each_triple_closes_its_rotation_subgroup_once(monkeypatch, a5xz2):
+def _squares(group):
+    return sorted({group.mul(x, x) for x in range(group.order)})
+
+
+def _recording(monkeypatch, group):
+    """The seeds of every ``subgroup_bits`` call on ``group``'s class."""
+    calls = []
+    original = type(group).subgroup_bits
+    monkeypatch.setattr(type(group), "subgroup_bits",
+                        lambda self, seeds: calls.append(tuple(seeds))
+                        or original(self, seeds))
+    return calls
+
+
+def _pair_seeds(group, a, b):
+    a, b = sorted((a, b))
+    return (group.mul(a, b), a)
+
+
+def test_each_triple_closes_each_subgroup_once(monkeypatch, a5xz2):
     a7 = closure([parse_cycles(w, 7) for w in ("(1 2 3 4 5 6 7)", "(1 2 3)")])
     t = triple_from_words(a7, "(2 5)(3 4);(1 5)(6 7);(1 4)(3 6)")
     r0, r1, r2 = t.indices
-    rotations = (a7.mul(r0, r2), a7.mul(r1, r2), a7.mul(r0, r1))
-    calls = []
-    original = type(a7).subgroup_bits
-    monkeypatch.setattr(type(a7), "subgroup_bits",
-                        lambda self, seeds: calls.append(tuple(sorted(seeds)))
-                        or original(self, seeds))
+    calls = _recording(monkeypatch, a7)
     m = RegularLinearHypermap.from_triple(t)
-    assert sorted(calls) == sorted(
-        tuple(sorted(pair))
-        for pair in ((r1, r2), (r0, r2), rotations, (r0, r1)))
+    # H and K lead with their rotations; r0r1 (order 6) is the rotation of
+    # largest order, so S leads with it and r0, then r2; L is <r0r1, r0>
+    r0r1 = a7.mul(r0, r1)
+    assert sorted(calls) == sorted([
+        _pair_seeds(a7, r1, r2), _pair_seeds(a7, r0, r2), (r0r1, r0, r2),
+        (r0r1, r0), tuple(_squares(a7))])
 
     calls.clear()
     assert str(m.m_sequence()) == "[317;3,4,6;420,315,210;2520]"
     assert str(m.dual().m_sequence()) == "[317;4,3,6;315,420,210;2520]"
     assert calls == []
 
-    # classify reads H, K and E from its scan's memo: L is the one closure
+    # classify reads H, K and S from its scan's memo and G^2 from the
+    # group: L is the one closure
     built = []
     original_of = RegularLinearHypermap._of.__func__
 
@@ -451,5 +471,44 @@ def test_each_triple_closes_its_rotation_subgroup_once(monkeypatch, a5xz2):
 
     monkeypatch.setattr(RegularLinearHypermap, "_of", classmethod(of))
     result = classify(a5xz2, "a5xz2")
-    assert built == [[tuple(sorted(c.canonical_key[:2]))]
+    assert built == [[(a5xz2.mul(*c.canonical_key[:2]), c.canonical_key[0])]
                      for c in result.classes]
+
+
+def test_square_subgroup_is_closed_once_per_group_and_pickles(monkeypatch):
+    g = closure([parse_cycles(w, 7) for w in ("(1 2 3 4 5)", "(1 2 3)", "(6 7)")])
+    squares = tuple(_squares(g))
+    calls = _recording(monkeypatch, g)
+    first = hypermap(g, SPHERE_253)
+    second = hypermap(g, GENUS10_256)
+    assert calls.count(squares) == 1
+    assert (first.orientable, second.orientable) == (True, False)
+
+    copy = pickle.loads(pickle.dumps(g))
+    calls.clear()
+    assert copy._square_bits() == g._square_bits()
+    assert calls == []
+    assert str(hypermap(copy, GENUS10_256).m_sequence()) == str(
+        second.m_sequence())
+    assert squares not in calls
+
+
+_GROUP_FILES = sorted((REPO_ROOT / "data").glob("*.grp")) + sorted(
+    (REPO_ROOT / "perfbench" / "groups").glob("*.grp"))
+
+
+@pytest.mark.parametrize("path", _GROUP_FILES,
+                         ids=lambda p: f"{p.parent.name}-{p.stem}")
+def test_span_and_orientability_match_the_rotation_subgroup(path):
+    # the definitions the span closure and the square subgroup replace:
+    # E = <r0r2, r1r2> has index 2 in the span exactly when r0 is outside it
+    group = parse_group_file(path).group
+    result = classify(group, path.stem)
+    for c in result.classes:
+        m, (r0, r1, r2) = c.hypermap, c.canonical_key
+        e = group.subgroup_bits((group.mul(r0, r2), group.mul(r1, r2)))
+        assert m.orientable == (not e >> r0 & 1)
+        assert m.orientable == RegularLinearHypermap.from_triple(
+            m.triple).orientable
+        assert _span(group, r0, r1, r2, {}) == group.subgroup_bits(
+            m.triple.indices).bit_count()
