@@ -7,8 +7,8 @@ lexicographically least image of the triple under the automorphism group
 automorphism fixes a generating triple, so ``Aut(G)`` and its subgroup
 ``Inn(G)`` act freely on admissible triples.
 
-``classify`` scans under ``Inn(G)``, which costs one table gather per
-element instead of an automorphism search.  A triple is least in its
+``classify`` scans under ``Inn(G)``, which costs one ``_conjugates`` call
+per element instead of an automorphism search.  A triple is least in its
 ``Inn``-orbit exactly when ``r0`` is least in its orbit on involutions,
 ``r1`` least in its orbit under the stabiliser of ``r0``, and ``r2`` least
 in its orbit under the stabiliser of ``r0`` and ``r1``; the scan walks this
@@ -42,7 +42,6 @@ on ``jobs``.
 from __future__ import annotations
 
 import itertools
-import operator
 from array import array
 from collections import Counter
 from typing import Iterator, Sequence
@@ -145,19 +144,11 @@ def _self_canonical_triples(rows: list[tuple[int, ...]], invs: list[int]
 
 
 def _inner_rows(group: FiniteGroup, invs: list[int]) -> list[tuple[int, ...]]:
-    """The inner automorphisms on the involutions, one row each.
-
-    Conjugation by g sends x to ``T[T[g^-1, x], g]``: row ``g^-1`` of the
-    table read at the involutions, then column g read at those products.
-    Rows repeat along the cosets of the centraliser of the involutions,
-    which is the centre Z(G) when they generate G, so there are
-    ``|G| / |Z(G)|`` distinct rows.  ``invs`` needs two or more points.
-    """
-    flat, n = group._flat, group.order
-    at_invs = operator.itemgetter(*invs)
-    return list(dict.fromkeys(
-        operator.itemgetter(*at_invs(flat[gi * n:(gi + 1) * n]))(flat[g::n])
-        for g, gi in enumerate(group._inverse)))
+    """Conjugation of the involutions by each g, one row per inner
+    automorphism.  Rows repeat along the cosets of the centraliser of the
+    involutions, Z(G) when they generate G: ``|G| / |Z(G)|`` distinct rows."""
+    return list(dict.fromkeys(group._conjugates(g, invs)
+                              for g in range(group.order)))
 
 
 def _may_have_classes(group: FiniteGroup, invs: list[int]) -> bool:
@@ -216,7 +207,7 @@ def classify(group: FiniteGroup, group_name: str = "",
         if visits > limit:
             raise _scan_refused(group, limit)
         if all(c.passed for c in _conditions(group, *key, memo)):
-            code = _cayley_walk(group._flat, group.order, key)[1]
+            code = _cayley_walk(group, key)[1]
             survivors.setdefault(array("H", code).tobytes(), []).append(key)
     if survivors:
         out = {len(keys) for keys in survivors.values()}

@@ -5,7 +5,9 @@ Elements are stored in a canonical order (sorted lexicographically by image
 sequence, identity first) so that element indices are deterministic across
 runs.  For groups of order at most ``TABLE_LIMIT`` a dense multiplication
 table is built, giving O(1) index arithmetic; larger groups fall back to
-composing permutations and looking the result up in a hash index.
+composing permutations and looking the result up in a hash index.  Only
+``FiniteGroup`` reads the table, conjugation in ``_conjugates`` and right
+multiplication in ``_column``.
 
 Composition is left-to-right throughout: ``(p * q)`` applies ``p`` first,
 then ``q``, so exponent-style actions compose naturally.
@@ -449,9 +451,8 @@ class FiniteGroup:
         """Bitset of ``G^2``, the subgroup the squares generate, closed once
         and kept."""
         if self._squares is None:
-            squares = (self._flat[::self.order + 1] if self._flat is not None
-                       else [self.mul(x, x) for x in range(self.order)])
-            self._squares = self.subgroup_bits(sorted(set(squares)))
+            squares = {self.mul(x, x) for x in range(self.order)}
+            self._squares = self.subgroup_bits(sorted(squares))
         return self._squares
 
     def product_bits(self, a_bits: int, b_bits: int) -> int:
@@ -470,6 +471,23 @@ class FiniteGroup:
         for x in xs:
             products.update(take(rows[x * n:(x + 1) * n]))
         return products
+
+    def _column(self, h: int) -> list[int]:
+        """The index of x*h for every x: column h of the table."""
+        if self._flat is None:
+            return [self.mul(x, h) for x in range(self.order)]
+        return self._flat[h::self.order].tolist()
+
+    def _conjugates(self, g: int, points: Iterable[int]) -> tuple[int, ...]:
+        """g^-1 * x * g for each point: row g^-1 of the table read at the
+        points, then column g read at those products (two leading reads of
+        slot 0 keep each gather a tuple)."""
+        ginv = self._inverse[g]
+        if self._flat is None:
+            return tuple(self.mul(self.mul(ginv, x), g) for x in points)
+        n, rows = self.order, memoryview(self._flat)
+        products = operator.itemgetter(0, 0, *points)(rows[ginv * n:])
+        return operator.itemgetter(*products)(rows[g::n])[2:]
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order}, degree={self.degree})"
@@ -529,12 +547,15 @@ def closure(generators: Sequence[Permutation],
     degree = generators[0].degree
     if any(g.degree != degree for g in generators):
         raise DegreeMismatch("generators of mixed degree")
-    budget = CLOSURE_IMAGES_PER_ELEMENT * max_order
-    limit = min(max_order, budget // degree)
+    limit = min(max_order, CLOSURE_IMAGES_PER_ELEMENT * max_order // degree)
     gens = []
     for g in generators:
         if g not in gens:
             gens.append(g)
+    # orbit lengths divide the order; the walk keeps the identity at any limit
+    orbits = Counter(_orbit_roots([g.images for g in gens], degree))
+    if lcm(*orbits.values()) > max(limit, 1):
+        raise _closure_refused(degree, limit, max_order)
     ident = Permutation.identity(degree)
     seen = {ident.images: ident}
     queue = deque([ident])
@@ -544,17 +565,38 @@ def closure(generators: Sequence[Permutation],
             y = x * g
             if y.images not in seen:
                 if len(seen) >= limit:
-                    if limit == max_order:
-                        raise GroupTooLarge(f"closure exceeded the cap of "
-                                            f"{max_order} elements")
-                    raise GroupTooLarge(
-                        f"closure of degree {degree} exceeded {limit} "
-                        f"elements, the budget of {budget} images "
-                        f"({CLOSURE_IMAGES_PER_ELEMENT} per element of the "
-                        f"cap of {max_order})")
+                    raise _closure_refused(degree, limit, max_order)
                 seen[y.images] = y
                 queue.append(y)
     return FiniteGroup(seen.values(), gens)
+
+
+def _closure_refused(degree: int, limit: int,
+                     max_order: int) -> GroupTooLarge:
+    """The refusal of a closure of more than ``limit`` elements."""
+    if limit == max_order:
+        return GroupTooLarge(
+            f"closure exceeded the cap of {max_order} elements")
+    per = CLOSURE_IMAGES_PER_ELEMENT
+    return GroupTooLarge(
+        f"closure of degree {degree} exceeded {limit} elements, the budget "
+        f"of {per * max_order} images ({per} per element of the cap of "
+        f"{max_order})")
+
+
+def _orbit_roots(actions: Sequence[Sequence[int]], n: int) -> list[int]:
+    """The least point of each point's orbit under the maps ``actions``."""
+    root_of = [-1] * n
+    for root in range(n):
+        if root_of[root] < 0:
+            root_of[root] = root
+            orbit = [root]
+            for x in orbit:
+                for action in actions:
+                    if root_of[y := action[x]] < 0:
+                        root_of[y] = root
+                        orbit.append(y)
+    return root_of
 
 
 @dataclass(frozen=True)
@@ -643,11 +685,7 @@ def conjugate_set(group: FiniteGroup, s: ElementSet, g: int) -> ElementSet:
     if s.group is not group:
         raise GroupMismatch("element set belongs to a different group")
     group.check_index(g)
-    ginv = group.inverse_index(g)
-    bits = 0
-    for x in s.indices():
-        bits |= 1 << group.mul(group.mul(ginv, x), g)
-    return ElementSet(group, bits)
+    return ElementSet.from_indices(group, group._conjugates(g, s.indices()))
 
 
 def normal_core(group: FiniteGroup, h: ElementSet) -> ElementSet:
@@ -727,7 +765,7 @@ def minimal_generating_sequence(group: FiniteGroup) -> list[int]:
     return chosen
 
 
-def _cayley_walk(flat: array, n: int, gens: Sequence[int],
+def _cayley_walk(group: FiniteGroup, gens: Sequence[int],
                  code: Sequence[int] | None = None
                  ) -> tuple[list[int], list[int]] | None:
     """Walk from the identity over right multiplication by ``gens``.
@@ -737,11 +775,9 @@ def _cayley_walk(flat: array, n: int, gens: Sequence[int],
     tuple's Cayley code.  Given a target ``code``, returns None at the first
     step that departs from it.
     """
-    # column h of the table maps x to x * h; a list indexes faster than
-    # the array, and one strided copy per generator costs O(|G|)
-    columns = [flat[h::n].tolist() for h in gens]
+    columns = [group._column(h) for h in gens]
     order = [0]
-    position = [-1] * n
+    position = [-1] * group.order
     position[0] = 0
     walk: list[int] = []
     for x in order:
@@ -814,23 +850,9 @@ def _conjugacy_classes(group: FiniteGroup) -> list[int]:
     Classes are the orbits of ``x -> g^-1 x g`` over the generators,
     found in O(|G| * k) table reads.
     """
-    flat, n = group._flat, group.order
-    conjugators = [(group._inverse[g] * n, g)
-                   for g in group.generator_indices]
-    class_of = [-1] * n
-    for root in range(n):
-        if class_of[root] >= 0:
-            continue
-        class_of[root] = root
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for ginv, g in conjugators:
-                y = flat[flat[ginv + x] * n + g]
-                if class_of[y] < 0:
-                    class_of[y] = root
-                    stack.append(y)
-    return class_of
+    n = group.order
+    return _orbit_roots([group._conjugates(g, range(n))
+                         for g in group.generator_indices], n)
 
 
 def _label_classes(group: FiniteGroup,
@@ -913,11 +935,10 @@ def _compute_automorphisms(group: FiniteGroup,
             raise _too_many_automorphisms(group, max_order)
     label_of = {x: cls for cls in classes for x in cls}
     gens = _generating_tuple(group, classes, class_of)
-    flat = group._flat
-    elems, code = _cayley_walk(flat, n, gens)
+    elems, code = _cayley_walk(group, gens)
     results: list[tuple[int, ...]] = []
     for images in itertools.product(*(label_of[g] for g in gens)):
-        walk = _cayley_walk(flat, n, images, code)
+        walk = _cayley_walk(group, images, code)
         if walk is not None:
             mapping = [0] * n
             for e, y in zip(elems, walk[0]):

@@ -357,9 +357,9 @@ def is_isomorphic(t1: InvolutionTriple, t2: InvolutionTriple) -> bool:
         raise GroupMismatch("triples live in different groups")
     g = t1.group
     if g.has_table:
-        order, code = _cayley_walk(g._flat, g.order, t1.indices)
+        order, code = _cayley_walk(g, t1.indices)
         if len(order) == g.order:
-            return _cayley_walk(g._flat, g.order, t2.indices, code) is not None
+            return _cayley_walk(g, t2.indices, code) is not None
     target = t2.indices
     return any(
         (a.mapping[t1.r0], a.mapping[t1.r1], a.mapping[t1.r2]) == target
@@ -385,8 +385,5 @@ def core_dichotomy(m: RegularLinearHypermap) -> CoreType:
 def to_flag_hypermap(m: RegularLinearHypermap) -> FlagHypermap:
     """The regular flag representation: flags are group elements, r_i acts
     by right multiplication."""
-    g = m.group
-    perms = []
-    for r in m.triple.indices:
-        perms.append(Permutation([g.mul(x, r) for x in range(g.order)]))
-    return FlagHypermap(*perms)
+    return FlagHypermap(*(Permutation(m.group._column(r))
+                          for r in m.triple.indices))

@@ -19,6 +19,7 @@ from linhyp.catalog import (
 from linhyp.cli import main
 from linhyp.errors import DuplicateName, ParseError
 from linhyp.hypermap import extract_cells
+from linhyp.permgroup import Permutation
 from linhyp.regular import RegularLinearHypermap, triple_from_words
 
 from conftest import REPO_ROOT
@@ -96,6 +97,24 @@ def test_degree_above_closure_cap_names_the_variable(tmp_path, monkeypatch):
         parse_group_file(path)
     monkeypatch.setenv("LHM_MAX_GROUP_ORDER", "24")
     assert parse_group_file(path).group.order == 24
+
+
+def test_group_past_the_image_budget_is_refused_before_any_composition(
+        tmp_path, capsys, monkeypatch):
+    # a 20000-cycle generates 20000 elements: under the order cap, but past
+    # the 64 * 200000 / 20000 = 640 elements of degree 20000 that the image
+    # budget allows; its orbit of 20000 points shows it before the walk
+    monkeypatch.delenv("LHM_MAX_GROUP_ORDER", raising=False)
+    path = tmp_path / "cycle20000.grp"
+    path.write_text("name: cycle20000\ndegree: 20000\ngens:\n("
+                    + " ".join(map(str, range(1, 20001))) + ")\n",
+                    encoding="utf-8")
+    monkeypatch.setattr(Permutation, "__mul__",
+                        lambda *args: pytest.fail("a permutation composed"))
+    assert main(["classify", "--group", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: closure of degree 20000 exceeded 640 elements, the budget of "
+        "12800000 images (64 per element of the cap of 200000)"]
 
 
 def test_catalog_entry_is_frozen(data_dir):

@@ -181,8 +181,8 @@ def test_unequal_survivors_per_cayley_code_is_an_internal_error(
     cl = importlib.import_module("linhyp.classify")
     walk, marked = cl._cayley_walk, []
 
-    def marking_walk(flat, n, gens):
-        order, code = walk(flat, n, gens)
+    def marking_walk(group, gens):
+        order, code = walk(group, gens)
         if not marked:
             marked.append(gens)
             code = code + [0]

@@ -58,6 +58,15 @@ def test_unknown_package_attribute_is_an_attribute_error():
         linhyp.no_such_name
 
 
+def test_only_permgroup_reads_the_multiplication_table():
+    # the table's layout stays inside FiniteGroup: other modules read it
+    # through its methods
+    package = REPO_ROOT / "src" / "linhyp"
+    readers = [path.name for path in sorted(package.glob("*.py"))
+               if "_flat" in path.read_text(encoding="utf-8")]
+    assert readers == ["permgroup.py"]
+
+
 # --- value classes against dataclasses -----------------------------------------
 
 

@@ -400,6 +400,52 @@ def test_subgroup_bits_matches_breadth_first_closure(images, data):
             assert g.subgroup_bits(s) == _breadth_first_closure(g, s)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_generators, st.data())
+def test_conjugation_and_columns_match_mul_with_and_without_table(images,
+                                                                  data):
+    from linhyp.permgroup import _conjugacy_classes
+    gens = [Permutation(p) for p in images]
+    group = closure(gens)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permgroup, "TABLE_LIMIT", 0)
+        tableless = closure(gens)
+    n, mul = group.order, tableless.mul  # mul composes permutations
+    g = data.draw(st.integers(0, n - 1))
+    points = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+    seeds = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    ginv = group.inverse_index(g)
+    conjugate = [mul(mul(ginv, x), g) for x in range(n)]
+    bits = group.subgroup_bits(seeds)
+    h = [x for x in range(n) if bits >> x & 1]
+    core = normal_core(group, ElementSet(group, bits)).bits
+    assert all(core >> conjugate[x] & 1 for x in h if core >> x & 1)
+    for grp in (group, tableless):
+        assert grp._conjugates(g, points) == tuple(map(conjugate.__getitem__,
+                                                       points))
+        assert grp._column(g) == [mul(x, g) for x in range(n)]
+        h_set = ElementSet(grp, bits)
+        assert conjugate_set(grp, h_set, g).bits == sum(
+            1 << conjugate[x] for x in h)
+        assert normal_core(grp, h_set).bits == core
+    assert _conjugacy_classes(group) == _conjugacy_classes(tableless)
+
+
+def test_flag_hypermap_matches_mul_with_and_without_table(
+        a5xz2, a5xz2_classes, monkeypatch):
+    from linhyp.regular import to_flag_hypermap
+    maps = [c.hypermap for c in a5xz2_classes.classes]
+    expected = [[Permutation([a5xz2.mul(x, r) for x in range(a5xz2.order)])
+                 for r in m.triple.indices] for m in maps]
+
+    def flags():
+        return [[f.r0, f.r1, f.r2] for f in map(to_flag_hypermap, maps)]
+    assert flags() == expected
+    monkeypatch.setattr(a5xz2, "_flat", None)
+    assert not a5xz2.has_table
+    assert flags() == expected
+
+
 @pytest.mark.parametrize("table", [True, False])
 def test_subgroup_of_exactly_half_the_group_keeps_its_own_bits(table):
     # the closure stops only past |G|/2: A5 in S5 (cosets of <(1 2 3)>) and
@@ -694,21 +740,21 @@ def test_cayley_walk_gives_order_code_and_automorphism_images(name, request):
     from linhyp.permgroup import _cayley_walk, _generating_tuple, _label_classes
 
     g = request.getfixturevalue(name)
-    flat, n = g._flat, g.order
+    n = g.order
     gens = _generating_tuple(g, _label_classes(g))
     k = len(gens)
-    order, code = _cayley_walk(flat, n, gens)
+    order, code = _cayley_walk(g, gens)
     assert sorted(order) == list(range(n))
     assert len(code) == n * k
     for p, x in enumerate(order):
         for j, h in enumerate(gens):
             assert order[code[p * k + j]] == g.mul(x, h)
 
-    part, _ = _cayley_walk(flat, n, gens[:1])
+    part, _ = _cayley_walk(g, gens[:1])
     assert len(part) < n
 
     accepted = {imgs for imgs in itertools.product(range(n), repeat=k)
-                if _cayley_walk(flat, n, imgs, code) is not None}
+                if _cayley_walk(g, imgs, code) is not None}
     assert accepted == {tuple(a(h) for h in gens)
                         for a in automorphism_group(g)}
 
