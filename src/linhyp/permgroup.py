@@ -277,6 +277,7 @@ class FiniteGroup:
                                     for e in self.elements))
         self._orders: list[int | None] = [None] * self.order
         self._squares: int | None = None
+        self._largest_proper: int | None = None
         self._words: list[str | None] = [None] * self.order
         self._aut_cache: tuple[GroupAutomorphism, ...] | None = None
         self._aut_lock = threading.Lock()
@@ -405,15 +406,20 @@ class FiniteGroup:
         without a table.  So only ``|<H, s>| / |H|`` representatives take a
         step each.
 
-        The walk stops as soon as it holds more than ``|G|/2`` elements.
-        They lie in ``<H, s>``, a subgroup of order dividing ``|G|``
-        (Lagrange) and over ``|G|/2``, so ``<H, s>``, and the subgroup the
-        seeds generate with it, is the whole group: the exit is exact.
+        The walk stops as soon as it holds more elements than the largest
+        proper subgroup can (:meth:`_largest_proper_order`: ``|G|/5`` when G
+        is perfect, ``|G|/3`` when ``G^2 = G``, else ``|G|/2``).  They lie
+        in ``<H, s>``, which is then no proper subgroup, so ``<H, s>``, and
+        the subgroup the seeds generate with it, is the whole group: the
+        exit is exact.
         """
         for s in seeds:
             self.check_index(s)
         n, mul = self.order, self.mul
-        half, whole = n // 2, (1 << n) - 1
+        bound = self._largest_proper
+        if bound is None:
+            bound = self._largest_proper_order()
+        whole = (1 << n) - 1
         rows = None if self._flat is None else memoryview(self._flat)
         members = {0}
         steps = []  # left multiplication by each seed so far
@@ -428,7 +434,7 @@ class FiniteGroup:
                 while x:
                     members.add(x)
                     x = step(x)  # s * x = x * s
-                if len(members) > half:
+                if len(members) > bound:
                     return whole
                 continue
             h = tuple(members)
@@ -442,18 +448,63 @@ class FiniteGroup:
                         members.update(take(rows[y * n:(y + 1) * n])
                                        if rows is not None
                                        else [mul(y, x) for x in h])
-                        if len(members) > half:
+                        if len(members) > bound:
                             return whole
                         reps.append(y)
         return _bits_of(members, n)
 
+    def _largest_proper_order(self) -> int:
+        """The largest order a proper subgroup can have, found with ``G^2``
+        on the first closure and kept: ``|G|//5`` when G is perfect
+        (``G' = G``), ``|G|//3`` when ``G^2 = G``, else ``|G|//2``.
+
+        A subgroup of index 2 is normal with quotient Z2, so it contains
+        ``G^2``: when ``G^2 = G`` every proper subgroup has index at least
+        3.  A subgroup of index m < 5 gives a transitive action of G on its
+        m cosets; the image is a nontrivial subgroup of S_m, solvable as S_m
+        is for m <= 4, so it has a nontrivial abelian quotient, and so would
+        G, which a perfect group does not.
+
+        ``G^2`` is the normal closure of ``g^2`` and ``(gh)^2`` over the
+        generators g, h, and ``G'`` that of the commutators ``[g, h]``:
+        modulo those the generators are commuting involutions, or commute.
+        ``G' <= G^2``, so ``G'`` is closed only when ``G^2 = G``.  While the
+        bound is found, closures stop past ``|G|/2``, which is always exact.
+        """
+        n, whole = self.order, (1 << self.order) - 1
+        self._largest_proper = n // 2
+        gens = self.generator_indices
+        pairs = list(itertools.combinations(gens, 2))
+        words = [*gens, *itertools.starmap(self.mul, pairs)]
+        self._squares = self._normal_closure(self.mul(w, w) for w in words)
+        if self._squares == whole:
+            commutators = [self.mul(self._inverse[self.mul(h, g)],
+                                    self.mul(g, h)) for g, h in pairs]
+            perfect = self._normal_closure(commutators) == whole
+            self._largest_proper = n // 5 if perfect else n // 3
+        return self._largest_proper
+
     def _square_bits(self) -> int:
         """Bitset of ``G^2``, the subgroup the squares generate, closed once
-        and kept."""
+        with the closure bound and kept."""
         if self._squares is None:
-            squares = {self.mul(x, x) for x in range(self.order)}
-            self._squares = self.subgroup_bits(sorted(squares))
+            self._largest_proper_order()
         return self._squares
+
+    def _normal_closure(self, seeds: Iterable[int]) -> int:
+        """Bitset of the least normal subgroup holding the seeds.  A
+        conjugate of a seed by a generator that lies outside the subgroup
+        found so far joins the seeds; once none does, every generator
+        normalises the subgroup, so it is normal."""
+        seeds = list(seeds)
+        bits = self.subgroup_bits(seeds)
+        for x in seeds:  # grows as conjugates join
+            for g in self.generator_indices:
+                y = self._conjugates(g, (x,))[0]
+                if not bits >> y & 1:
+                    seeds.append(y)
+                    bits = self.subgroup_bits(seeds)
+        return bits
 
     def product_bits(self, a_bits: int, b_bits: int) -> int:
         """Bitset of all products x*y with x in ``a_bits``, y in ``b_bits``."""
@@ -689,12 +740,17 @@ def conjugate_set(group: FiniteGroup, s: ElementSet, g: int) -> ElementSet:
 
 
 def normal_core(group: FiniteGroup, h: ElementSet) -> ElementSet:
-    """The largest normal subgroup of the group contained in ``h``.
+    """The largest normal subgroup of the group contained in ``h``."""
+    _require_subgroup(group, h)
+    return _normal_core(group, h)
+
+
+def _normal_core(group: FiniteGroup, h: ElementSet) -> ElementSet:
+    """:func:`normal_core` of ``h``, not checked to be a subgroup.
 
     Repeatedly intersects with generator conjugates; the fixpoint is
     normalized by every generator, hence normal.
     """
-    _require_subgroup(group, h)
     core = h
     while True:
         refined = core

@@ -44,8 +44,8 @@ from .permgroup import (
     Permutation,
     _bit_indices,
     _cayley_walk,
+    _normal_core,
     automorphism_group,
-    normal_core,
     parse_cycles,
 )
 from .report import CheckResult, ValidationReport
@@ -371,9 +371,10 @@ def core_dichotomy(m: RegularLinearHypermap) -> CoreType:
 
     Validated hypermaps admit exactly two outcomes: trivial core, or the
     two-element subgroup generated by r2 (in which case r2 is central).
-    Any other core is a contradiction and raises.
+    Any other core is a contradiction and raises.  The stabilizer is a
+    dihedral group closed by ``subgroup_bits``, so it is not checked again.
     """
-    core = normal_core(m.group, m.vertex_stabilizer)
+    core = _normal_core(m.group, m.vertex_stabilizer)
     if core.bits == 1:
         return CoreType.TRIVIAL_CORE
     if core.bits == (1 | 1 << m.triple.r2):

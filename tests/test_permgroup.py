@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_classify import random_generators
 
+from conftest import REPO_ROOT
 from linhyp import permgroup
+from linhyp.catalog import parse_group_file
 from linhyp.errors import (
     DegreeMismatch,
     GroupMismatch,
@@ -469,6 +471,61 @@ def test_subgroup_of_exactly_half_the_group_keeps_its_own_bits(table):
     assert d8.subgroup_bits([d8.mul(rho, rho), rho]) == rotations
 
 
+def _built(build, table):
+    """``build()``, with or without a multiplication table."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not table:
+            mp.setattr(permgroup, "TABLE_LIMIT", 0)
+        group = build()
+    assert group.has_table is table
+    return group
+
+
+def _closed(words, degree, table):
+    return _built(lambda: closure([parse_cycles(w, degree) for w in words]),
+                  table)
+
+
+@pytest.mark.parametrize("table", [True, False])
+@pytest.mark.parametrize("name, index", [
+    ("a5", 5), ("psl27", 5), ("a6", 5), ("a7", 5),  # perfect
+    ("a4", 3),  # G^2 = G, G' = V4
+    ("s4", 2), ("s6xz2", 2), ("z2cubed", 2),
+    ("trivial", 5),  # perfect, with no proper subgroup
+])
+def test_largest_proper_subgroup_order(name, index, table):
+    words = {"a4": (("(1 2 3)", "(1 2)(3 4)"), 4), "trivial": (("()",), 1)}
+    if name in words:
+        group = _closed(*words[name], table)
+    else:
+        path = REPO_ROOT / "perfbench" / "groups" / f"{name}.grp"
+        group = _built(lambda: parse_group_file(path).group, table)
+    n = group.order
+    assert group._largest_proper_order() == n // index
+    # the normal closure of g^2 and (gh)^2 is the closure of all squares
+    squares = sorted({group.mul(x, x) for x in range(n)})
+    assert group._square_bits() == _breadth_first_closure(group, squares)
+
+
+@pytest.mark.parametrize("table", [True, False])
+def test_subgroup_at_the_largest_proper_order_keeps_its_own_bits(table):
+    # the closure stops only past the bound: A4 in the perfect A5 has
+    # 12 = 60/5 elements, V4 in A4 (G^2 = G) 4 = 12/3, and the cyclic
+    # subgroup of order 3 in Z9 (G^2 = G) 3 = 9/3, found by the cyclic stage
+    a5 = _closed(("(1 2 3 4 5)", "(1 2 3)"), 5, table)
+    a4 = _closed(("(1 2 3)", "(1 2)(3 4)"), 4, table)
+    z9 = _closed(("(1 2 3 4 5 6 7 8 9)",), 9, table)
+    for group, words, order in (
+            (a5, ("(1 2 3)", "(1 2)(3 4)"), 12),
+            (a4, ("(1 2)(3 4)", "(1 3)(2 4)"), 4),
+            (z9, ("(1 4 7)(2 5 8)(3 6 9)",), 3)):
+        assert group._largest_proper_order() == order
+        seeds = [group.index_of(parse_cycles(w, group.degree)) for w in words]
+        bits = group.subgroup_bits(seeds)
+        assert bits == _breadth_first_closure(group, seeds)
+        assert bits.bit_count() == order
+
+
 def test_generating_pair_of_a7_stops_past_half_the_group(monkeypatch):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(permgroup, "TABLE_LIMIT", 0)
@@ -477,6 +534,8 @@ def test_generating_pair_of_a7_stops_past_half_the_group(monkeypatch):
     n = a7.order
     s, t = (a7.index_of(parse_cycles(w, 7)) for w in ("(1 2 3 4 5 6 7)", "(1 2 3)"))
     block = a7.element_order(s)
+    bound = a7._largest_proper_order()  # found before mul is counted
+    assert bound == n // 5
     calls = 0
     mul = a7.mul
 
@@ -488,10 +547,10 @@ def test_generating_pair_of_a7_stops_past_half_the_group(monkeypatch):
     monkeypatch.setattr(a7, "mul", counting_mul)
     assert a7.subgroup_bits((s, t)) == (1 << n) - 1
     # without a table every element gathered is one mul: the cyclic group
-    # <s> and its cosets, at most n/2 + |<s>| before the walk stops, plus
-    # one step per seed from each coset representative walked; the full
-    # walk would gather all n
-    assert calls <= n // 2 + block + 2 * (n // (2 * block) + 1) < n
+    # <s> and its cosets, at most n/5 + |<s>| before the walk stops (A7 is
+    # perfect), plus one step per seed from each coset representative
+    # walked; the full walk would gather all n
+    assert calls <= n // 5 + block + 2 * (n // (5 * block) + 1) < n
 
 
 def test_lagrange_for_all_involution_pairs(s4):
@@ -553,6 +612,12 @@ def test_normal_core_central_involution():
 def test_normal_core_of_whole_group(s4):
     whole = ElementSet(s4, (1 << s4.order) - 1)
     assert normal_core(s4, whole).bits == whole.bits
+
+
+def test_normal_core_rejects_non_subgroup(s4):
+    x = s4.index_of(parse_cycles("(1 2 3)", 4))
+    with pytest.raises(NotASubgroup):
+        normal_core(s4, ElementSet.from_indices(s4, [0, x]))
 
 
 def test_normal_core_is_normal_and_contained(s4):

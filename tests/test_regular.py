@@ -21,6 +21,7 @@ from linhyp.errors import (
 )
 from linhyp.hypermap import extract_cells, surface_invariant
 from linhyp.permgroup import (
+    ElementSet,
     Permutation,
     automorphism_group,
     closure,
@@ -313,6 +314,16 @@ def test_core_central_on_dihedral_families():
     assert build_half_twist_family(8).core_dichotomy() is CoreType.CENTRAL_R2
 
 
+def test_core_dichotomy_does_not_check_the_stabilizer_again(monkeypatch,
+                                                           a5xz2):
+    # the stabilizer was closed by subgroup_bits; normal_core checks its
+    # argument, core_dichotomy does not
+    m = hypermap(a5xz2, SPHERE_253)
+    monkeypatch.setattr(ElementSet, "is_subgroup",
+                        lambda self: pytest.fail("subgroup checked again"))
+    assert m.core_dichotomy() is CoreType.TRIVIAL_CORE
+
+
 def test_core_dichotomy_never_raises_on_admissible(s4):
     for t in admissible_triples(s4):
         RegularLinearHypermap.from_triple(t).core_dichotomy()
@@ -421,18 +432,41 @@ def test_rotation_closure_matches_independent_oracles(source, data):
             for pair in ((r1, r2), (r0, r2), (r0, r1)))
 
 
+def test_triple_spanning_a6_in_a7_does_not_generate():
+    # A6, the stabiliser of the point 7, has 360 elements, under the
+    # |A7|/5 = 504 past which a closure is the whole group
+    a7 = closure([parse_cycles(w, 7) for w in ("(1 2 3 4 5 6 7)", "(1 2 3)")])
+    t = triple_from_words(a7, "(1 2)(3 4);(2 3)(4 5);(1 6)(2 5)")
+    check = validate_regular(t).check("generates")
+    assert not check.passed
+    assert check.detail == "triple generates a subgroup of order 360 < 2520"
+    with pytest.raises(InvalidHypermap, match="order 360 < 2520"):
+        RegularLinearHypermap.from_triple(t)
+
+
 def _squares(group):
     return sorted({group.mul(x, x) for x in range(group.order)})
 
 
 def _recording(monkeypatch, group):
-    """The seeds of every ``subgroup_bits`` call on ``group``'s class."""
-    calls = []
-    original = type(group).subgroup_bits
-    monkeypatch.setattr(type(group), "subgroup_bits",
+    """The seeds of every ``subgroup_bits`` call on ``group``'s class, and
+    the bitset of every ``_normal_closure``, whose own closures are left
+    out of the seeds."""
+    calls, normal = [], []
+    cls = type(group)
+    original, original_normal = cls.subgroup_bits, cls._normal_closure
+
+    def closing(self, seeds):
+        before = len(calls)
+        bits = original_normal(self, seeds)
+        del calls[before:]
+        normal.append(bits)
+        return bits
+    monkeypatch.setattr(cls, "subgroup_bits",
                         lambda self, seeds: calls.append(tuple(seeds))
                         or original(self, seeds))
-    return calls
+    monkeypatch.setattr(cls, "_normal_closure", closing)
+    return calls, normal
 
 
 def _pair_seeds(group, a, b):
@@ -444,19 +478,23 @@ def test_each_triple_closes_each_subgroup_once(monkeypatch, a5xz2):
     a7 = closure([parse_cycles(w, 7) for w in ("(1 2 3 4 5 6 7)", "(1 2 3)")])
     t = triple_from_words(a7, "(2 5)(3 4);(1 5)(6 7);(1 4)(3 6)")
     r0, r1, r2 = t.indices
-    calls = _recording(monkeypatch, a7)
+    calls, normal = _recording(monkeypatch, a7)
     m = RegularLinearHypermap.from_triple(t)
     # H and K lead with their rotations; r0r1 (order 6) is the rotation of
     # largest order, so S leads with it and r0, then r2; L is <r0r1, r0>
     r0r1 = a7.mul(r0, r1)
     assert sorted(calls) == sorted([
         _pair_seeds(a7, r1, r2), _pair_seeds(a7, r0, r2), (r0r1, r0, r2),
-        (r0r1, r0), tuple(_squares(a7))])
+        (r0r1, r0)])
+    # the first closure finds the closure bound: G^2 = A7, then G' = A7
+    whole = (1 << a7.order) - 1
+    assert normal == [whole, whole]
+    assert a7._largest_proper == a7.order // 5
 
     calls.clear()
     assert str(m.m_sequence()) == "[317;3,4,6;420,315,210;2520]"
     assert str(m.dual().m_sequence()) == "[317;4,3,6;315,420,210;2520]"
-    assert calls == []
+    assert calls == [] and len(normal) == 2
 
     # classify reads H, K and S from its scan's memo and G^2 from the
     # group: L is the one closure
@@ -477,20 +515,23 @@ def test_each_triple_closes_each_subgroup_once(monkeypatch, a5xz2):
 
 def test_square_subgroup_is_closed_once_per_group_and_pickles(monkeypatch):
     g = closure([parse_cycles(w, 7) for w in ("(1 2 3 4 5)", "(1 2 3)", "(6 7)")])
-    squares = tuple(_squares(g))
-    calls = _recording(monkeypatch, g)
+    calls, normal = _recording(monkeypatch, g)
     first = hypermap(g, SPHERE_253)
     second = hypermap(g, GENUS10_256)
-    assert calls.count(squares) == 1
+    # G^2 = A5 has index 2, so G' is not closed and the bound stays |G|/2
+    squares = g.subgroup_bits(_squares(g))
+    assert squares.bit_count() == 60
+    assert normal == [squares]
     assert (first.orientable, second.orientable) == (True, False)
 
     copy = pickle.loads(pickle.dumps(g))
     calls.clear()
-    assert copy._square_bits() == g._square_bits()
+    assert copy._square_bits() == squares
+    assert copy._largest_proper == 60
     assert calls == []
     assert str(hypermap(copy, GENUS10_256).m_sequence()) == str(
         second.m_sequence())
-    assert squares not in calls
+    assert normal == [squares]
 
 
 _GROUP_FILES = sorted((REPO_ROOT / "data").glob("*.grp")) + sorted(
