@@ -1,20 +1,21 @@
 """Frozen value classes without :mod:`dataclasses`.
 
-``dataclass(frozen=True)`` and ``field(default=, repr=, compare=)`` here
-are the part of the standard ones that this package uses.  Importing
-:mod:`dataclasses` pulls in ``inspect``, ``ast``, ``dis`` and
-``tokenize``, and each decoration ``exec``s six methods; together that
-was a large share of ``lhm``'s start-up.
+``dataclass(frozen=True)`` and ``field(repr=)`` here are the part of
+the standard ones that this package uses.  Importing :mod:`dataclasses`
+pulls in ``inspect``, ``ast``, ``dis`` and ``tokenize``, and each
+decoration ``exec``s six methods; together that was a large share of
+``lhm``'s start-up.
 
 The fields are the class's own annotations, in order, with an optional
-default given as a plain value or as ``field(default=...)``.  The class
-gets these methods, each unless it defines it itself:
+default given as a plain value; ``field(repr=False)`` marks a field
+without a default that the repr leaves out.  The class gets these
+methods, each unless it defines it itself:
 
 - ``__init__``, positional or keyword, which calls ``__post_init__`` if
   the class has one;
 - ``__repr__`` as ``Name(a=1, b=2)``, leaving out ``repr=False`` fields;
-- ``__eq__`` and ``__hash__`` over the fields not marked
-  ``compare=False``, equal only for instances of the same class.
+- ``__eq__`` and ``__hash__`` over all the fields, equal only for
+  instances of the same class.
 
 Its ``__setattr__`` and ``__delattr__`` raise
 ``dataclasses.FrozenInstanceError``, imported only to be raised.
@@ -32,17 +33,14 @@ _MISSING = object()
 
 
 class _Field:
-    __slots__ = ("default", "repr", "compare")
+    __slots__ = ("repr",)
 
-    def __init__(self, default, repr, compare):
-        self.default = default
+    def __init__(self, repr):
         self.repr = repr
-        self.compare = compare
 
 
-def field(*, default=_MISSING, repr: bool = True,
-          compare: bool = True) -> _Field:
-    return _Field(default, repr, compare)
+def field(*, repr: bool = True) -> _Field:
+    return _Field(repr)
 
 
 def _refuse_setattr(self, name, value):
@@ -66,36 +64,29 @@ def dataclass(*, frozen: bool):
 
 
 def _process(cls):
-    names, shown, compared = [], [], []
+    names, shown = [], []
     namespace = {"_setattr": object.__setattr__,
                  "__name__": cls.__module__}
     params = ["self"]
     for name in cls.__dict__.get("__annotations__", {}):
-        spec = cls.__dict__.get(name, _MISSING)
-        if isinstance(spec, _Field):
-            default = spec.default
-            if default is _MISSING:
-                delattr(cls, name)
-            else:
-                setattr(cls, name, default)
-        else:
-            default, spec = spec, _Field(spec, True, True)
+        default, show = cls.__dict__.get(name, _MISSING), True
+        if isinstance(default, _Field):
+            delattr(cls, name)
+            default, show = _MISSING, default.repr
         if default is _MISSING:
             params.append(name)
         else:
             namespace[f"_dflt_{name}"] = default
             params.append(f"{name}=_dflt_{name}")
         names.append(name)
-        if spec.repr:
+        if show:
             shown.append(name)
-        if spec.compare:
-            compared.append(name)
 
     body = [f"    _setattr(self, {n!r}, {n})" for n in names]
     if hasattr(cls, "__post_init__"):
         body.append("    self.__post_init__()")
-    mine = _tuple([f"self.{n}" for n in compared])
-    theirs = _tuple([f"other.{n}" for n in compared])
+    mine = _tuple([f"self.{n}" for n in names])
+    theirs = _tuple([f"other.{n}" for n in names])
     fields = ", ".join(f"{n}={{self.{n}!r}}" for n in shown)
     source = "\n".join([
         f"def __init__({', '.join(params)}):",

@@ -26,7 +26,7 @@ from .permgroup import (
     involutions,
     parse_cycles,
 )
-from .regular import InvolutionTriple, MSequence, RegularLinearHypermap, _span
+from .regular import InvolutionTriple, MSequence, RegularLinearHypermap, _span_bits
 
 
 # --- dihedral families ---------------------------------------------------------
@@ -231,7 +231,7 @@ def _is_simple_platonic(t: RegularMapTriple) -> bool:
     return (g.element_order(g.mul(t.r0, t.r1)) == p
             and g.element_order(g.mul(t.r0, t.r2)) == 2
             and g.element_order(g.mul(t.r1, t.r2)) == q
-            and _span(g, *t.indices, {}) == g.order
+            and _span_bits(g, *t.indices, {}).bit_count() == g.order
             and simple_graph_check(t))
 
 

@@ -20,7 +20,8 @@ subgroup conditions need only the two pair subgroups, which a caller
 checking many triples of one group shares through its memo.
 ``validate_regular`` runs it to the end; ``classify`` and
 ``admissible_triples`` stop at the first failure.  A hypermap is built
-from the memo its check filled, so H, K and S are not closed again.
+only from a triple that passed, with the memo its check filled, so H and
+K are not closed again; the report itself carries only the checks.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def _conditions(group: FiniteGroup, r0: int, r1: int, r2: int,
         "HK and KH overlap beyond H union K; least outside H union K: "
         + _least_word(group, extra))
 
-    span = _span(group, r0, r1, r2, memo)
+    span = _span_bits(group, r0, r1, r2, memo).bit_count()
     yield CheckResult(
         "generates", span == group.order,
         "" if span == group.order else
@@ -211,34 +212,26 @@ def _span_bits(group: FiniteGroup, r0: int, r1: int, r2: int,
     return bits
 
 
-def _span(group: FiniteGroup, r0: int, r1: int, r2: int, memo: dict) -> int:
-    """``|<r0, r1, r2>|``."""
-    return _span_bits(group, r0, r1, r2, memo).bit_count()
-
-
-def _orientable(group: FiniteGroup, r0: int, r1: int, r2: int,
-                memo: dict) -> bool:
-    """Whether some homomorphism S -> Z2 sends r0, r1 and r2 to the
-    generator: exactly when none of r0, r1, r2 and r0 r1 r2 lies in the
-    square subgroup of S, which is the group's kept G^2 when S = G."""
-    s = _span_bits(group, r0, r1, r2, memo)
-    if s.bit_count() == group.order:
-        squares = group._square_bits()
-    else:
-        squares = group.subgroup_bits(
-            sorted({group.mul(x, x) for x in _bit_indices(s)}))
+def _orientable(group: FiniteGroup, r0: int, r1: int, r2: int) -> bool:
+    """Whether some homomorphism G -> Z2 sends r0, r1 and r2 to the
+    generator, for a triple that generates G: exactly when none of r0,
+    r1, r2 and r0 r1 r2 lies in the group's kept square subgroup G^2."""
+    squares = group._square_bits()
     r012 = group.mul(group.mul(r0, r1), r2)
     return not any(squares >> x & 1 for x in (r0, r1, r2, r012))
 
 
-def validate_regular(t: InvolutionTriple) -> ValidationReport:
-    """Generation plus the two subgroup conditions, as report entries,
-    with the memo the checks filled."""
-    memo: dict = {}
+def _report(t: InvolutionTriple, memo: dict) -> ValidationReport:
+    """Generation plus the two subgroup conditions, as report entries;
+    the subgroups the checks close go into ``memo``."""
     checks = {c.name: c for c in _conditions(t.group, *t.indices, memo)}
     return ValidationReport(tuple(checks[name] for name in (
-        "generates", "stabilizer-intersection", "product-intersection")),
-        memo)
+        "generates", "stabilizer-intersection", "product-intersection")))
+
+
+def validate_regular(t: InvolutionTriple) -> ValidationReport:
+    """Generation plus the two subgroup conditions, as report entries."""
+    return _report(t, {})
 
 
 @dataclass(frozen=True)
@@ -253,26 +246,28 @@ class RegularLinearHypermap:
 
     @classmethod
     def from_triple(cls, t: InvolutionTriple) -> RegularLinearHypermap:
-        report = validate_regular(t)
+        memo: dict = {}
+        report = _report(t, memo)
         if not report.ok:
             raise InvalidHypermap(
                 "triple is not a regular linear hypermap: "
                 + report.failed_summary())
-        return cls._of(t, report.memo)
+        return cls._of(t, memo)
 
     @classmethod
     def _of(cls, t: InvolutionTriple, memo: dict) -> RegularLinearHypermap:
-        """The hypermap of a triple already known to be admissible: the one
-        place that builds the stabilizers, and it does not check.  H, K and
-        S come from the ``memo`` of that check; L is the one new closure."""
+        """The hypermap of a triple already known to be admissible, so
+        generating G: the one place that builds the stabilizers, and it
+        does not check.  H and K come from the ``memo`` of that check, and
+        so does L when a scan's memo holds ``<r0, r1>`` already; G^2 is
+        the group's own."""
         g, (r0, r1, r2) = t.group, t.indices
         return cls(
             triple=t,
             vertex_stabilizer=ElementSet(g, _pair_bits(g, r1, r2, memo)),
             hyperedge_stabilizer=ElementSet(g, _pair_bits(g, r0, r2, memo)),
-            hyperface_stabilizer=ElementSet(
-                g, g.subgroup_bits((g.mul(r0, r1), r0))),
-            orientable=_orientable(g, r0, r1, r2, memo),
+            hyperface_stabilizer=ElementSet(g, _pair_bits(g, r0, r1, memo)),
+            orientable=_orientable(g, r0, r1, r2),
         )
 
     @property
@@ -349,17 +344,16 @@ def is_isomorphic(t1: InvolutionTriple, t2: InvolutionTriple) -> bool:
     Two generating tuples are related by an automorphism exactly when their
     Cayley codes agree (Conder & Dobcsanyi, JCTB 81, 2001), so a triple
     that generates its group is compared by one walk of each triple over
-    the multiplication table: O(|G|), with no automorphism cap.  A triple
-    that does not generate, or a group without a table, is compared
+    the right multiplications: O(|G|) products, with or without a table,
+    and no automorphism cap.  A triple that does not generate is compared
     through :func:`~linhyp.permgroup.automorphism_group` and its cap.
     """
     if t1.group is not t2.group:
         raise GroupMismatch("triples live in different groups")
     g = t1.group
-    if g.has_table:
-        order, code = _cayley_walk(g, t1.indices)
-        if len(order) == g.order:
-            return _cayley_walk(g, t2.indices, code) is not None
+    order, code = _cayley_walk(g, t1.indices)
+    if len(order) == g.order:
+        return _cayley_walk(g, t2.indices, code) is not None
     target = t2.indices
     return any(
         (a.mapping[t1.r0], a.mapping[t1.r1], a.mapping[t1.r2]) == target

@@ -1,8 +1,11 @@
-"""Named pass/fail check results shared by the two validators."""
+"""Named pass/fail check results shared by the two validators.
+
+A report is its checks and nothing else: what a validator closed or
+built on the way stays with that validator."""
 
 from __future__ import annotations
 
-from ._frozen import dataclass, field
+from ._frozen import dataclass
 
 
 @dataclass(frozen=True)
@@ -19,9 +22,6 @@ class ValidationReport:
     ``GroupTooLarge`` for a flag stabiliser over the closure cap."""
 
     checks: tuple[CheckResult, ...]
-    # the subgroups the checks closed, for a caller that builds on them;
-    # not part of the report's value
-    memo: dict | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:

@@ -280,9 +280,9 @@ def test_classify_and_dual_build_hypermaps_without_validating_again(
         monkeypatch, a5xz2):
     import linhyp.regular as regular
     calls = []
-    original = regular.validate_regular
-    monkeypatch.setattr(regular, "validate_regular",
-                        lambda t: calls.append(t) or original(t))
+    original = regular._report
+    monkeypatch.setattr(regular, "_report",
+                        lambda t, memo: calls.append(t) or original(t, memo))
     result = classify(a5xz2, "a5xz2")
     duals = [c.hypermap.dual() for c in result.classes]
     assert calls == []

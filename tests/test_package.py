@@ -167,16 +167,6 @@ def test_value_class_matches_dataclass(ours, ref):
             delattr(target, names[0])
 
 
-def test_compare_false_field_is_left_out_of_equality():
-    from linhyp.report import CheckResult, ValidationReport
-    checks = (CheckResult("generates", True),)
-    bare, kept = ValidationReport(checks), ValidationReport(checks, {1: 2})
-    assert bare == kept and hash(bare) == hash(kept)
-    assert repr(kept) == repr(bare) == (
-        "ValidationReport(checks=(CheckResult(name='generates', passed=True, "
-        "detail=''),))")
-
-
 def test_post_init_still_validates():
     pairs = {ours.__name__: (ours, ref) for ours, ref in _PAIRS}
     g = build_group(["(1 2)", "(1 2 3 4)"], 4)
