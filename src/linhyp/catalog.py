@@ -44,6 +44,7 @@ from .permgroup import (
     CLOSURE_CAP_ENV,
     FiniteGroup,
     Permutation,
+    _decimal_digits,
     closure,
     closure_cap,
     parse_cycles,
@@ -102,14 +103,11 @@ def _count(label: str, value: str, path: Path, line: int) -> int:
 
     Past its leading zeros, a count with more digits than the cap exceeds
     it; that is decided on the digits, because ``int`` refuses a string of
-    more than a few thousand of them.
+    more than a few thousand of them.  The digits are quoted in ASCII.
     """
     if not value.isdecimal():
         raise ParseError(f"bad {label} {value!r}", path=str(path), line=line)
-    start = 0  # any Unicode decimal digit may lead, so compare its value
-    while start < len(value) and int(value[start]) == 0:
-        start += 1
-    digits = value[start:]
+    digits = _decimal_digits(value)
     if not digits:
         raise ParseError(f"bad {label} {value!r}", path=str(path), line=line)
     cap = closure_cap()

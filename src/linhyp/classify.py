@@ -30,8 +30,9 @@ orientability comes from the group's square subgroup ``G^2``, which
 
 Only a group with no classes leaves ``|Aut|`` unknown; it alone calls
 :func:`~linhyp.permgroup.automorphism_group`, which keeps the 2048-element
-cap.  The scan needs the dense multiplication table, so ``classify`` takes
-groups of up to ``TABLE_LIMIT`` (4096) elements, and it visits at most
+cap.  ``classify`` takes groups of up to ``TABLE_LIMIT`` (4096) elements, a
+bound on cost: its reads fall back to ``mul`` without the dense table, but
+``_inner_rows`` builds a conjugation row per element.  It visits at most
 ``4 * 2048**2 / |G|`` triples: a group with more Inn-orbits of involution
 triples, such as the dihedral group of order 512, raises
 ``GroupTooLargeForAut``.  The ``jobs`` argument is accepted for

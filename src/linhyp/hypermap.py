@@ -260,14 +260,15 @@ def _meet_order(a: Permutation, b: Permutation, r2: Permutation,
             j, period = j + period * k, period * (m // g)
         return True
 
-    rho, d, m = a * r2, half, half
-    for p in range(2, len(sigma)):  # half's primes are below the flag count
+    rho, d, m, p = a * r2, half, half, 2
+    while m > 1:
         if m % p == 0:  # p is prime: m has lost every smaller prime
             while m % p == 0:
                 m //= p
             while d % p == 0 and (is_power((x := rho ** (d // p)).images)
                                   or is_power((x * r2).images)):
                 d //= p
+        p += 1
     return 2 * half // d
 
 

@@ -51,6 +51,7 @@ CLOSURE_CAP_ENV = "LHM_MAX_GROUP_ORDER"
 CLOSURE_IMAGES_PER_ELEMENT = 64
 TABLE_LIMIT = 4096
 DEFAULT_AUT_CAP = 2048
+_AUT_LOCK = threading.Lock()
 # _bits_of sets the bits of a subgroup or a product set one shift-or at a
 # time below |G| / _BUFFER_SHARE elements and through one string of digits
 # above it; on a6, s6xz2 and a7 the two cost the same near |G| / 16.
@@ -177,6 +178,12 @@ class Permutation:
         return f"Permutation({self.cycle_string()!r}, degree={self.degree})"
 
 
+def _decimal_digits(tok: str) -> str:
+    """A decimal's ASCII digits past its leading zeros ("" for zero), to
+    size against a bound before ``int()``, which refuses over 4300 digits."""
+    return "".join(map(str, map(int, tok))).lstrip("0")
+
+
 def parse_cycles(text: str, degree: int) -> Permutation:
     """Parse whitespace-tolerant disjoint-cycle notation like ``(1 2)(3 5)``.
 
@@ -219,8 +226,7 @@ def parse_cycles(text: str, degree: int) -> Permutation:
             if not tok.isdecimal():
                 raise MalformedCycle(f"non-numeric token {tok!r} in {text!r}")
         for i, tok in enumerate(points):
-            # sized before int(), which refuses a point of over 4300 digits
-            digits = "".join(map(str, map(int, tok))).lstrip("0") or "0"
+            digits = _decimal_digits(tok) or "0"
             if (len(digits) > len(str(degree))
                     or not 1 <= (p := int(digits)) <= degree):
                 raise PointOutOfRange(f"point {digits} outside 1..{degree}")
@@ -280,18 +286,6 @@ class FiniteGroup:
         self._largest_proper: int | None = None
         self._words: list[str | None] = [None] * self.order
         self._aut_cache: tuple[GroupAutomorphism, ...] | None = None
-        self._aut_lock = threading.Lock()
-
-    # -- pickling: locks do not pickle; caches do -------------------------
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state.pop("_aut_lock", None)
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._aut_lock = threading.Lock()
 
     @property
     def has_table(self) -> bool:
@@ -866,9 +860,9 @@ def automorphism_group(group: FiniteGroup,
     JCTB 81, 2001).  Each hi is drawn from
     the elements sharing gi's automorphism-invariant label (element order,
     centraliser size) and a candidate is dropped at its first mismatch.
-    This needs the dense multiplication table, which every group within
-    the default cap has.  The result list is frozen on the group, so
-    concurrent callers compute it at most once.
+    The result list is frozen on the group and filled under one module
+    lock, so concurrent callers compute it at most once; threads asking
+    for the automorphisms of different groups take turns.
 
     ``max_order`` also bounds the stored mappings: ``|Aut| * |G|`` entries
     may not exceed ``max_order**2``, the size of the largest table the cap
@@ -879,7 +873,7 @@ def automorphism_group(group: FiniteGroup,
     if group.order > max_order:
         raise GroupTooLargeForAut(
             f"|G| = {group.order} exceeds the automorphism cap {max_order}")
-    with group._aut_lock:
+    with _AUT_LOCK:
         if group._aut_cache is None:
             group._aut_cache = tuple(_compute_automorphisms(group, max_order))
     if len(group._aut_cache) > _aut_limit(group, max_order):
@@ -912,16 +906,14 @@ def _conjugacy_classes(group: FiniteGroup) -> list[int]:
 
 
 def _label_classes(group: FiniteGroup,
-                   class_of: list[int] | None = None) -> list[list[int]]:
+                   class_of: list[int]) -> list[list[int]]:
     """Non-identity elements grouped by (element order, centraliser size),
-    smallest class first.
+    smallest class first, each ascending.
 
-    Automorphisms preserve both, so each class is a union of Aut-orbits.
-    The centraliser of x has ``|G| / |class(x)|`` elements; ``class_of``
-    is :func:`_conjugacy_classes` of the group, computed if not given.
+    Automorphisms preserve both, so each class is a union of Aut-orbits
+    and of conjugacy classes.  The centraliser of x has ``|G| / |class(x)|``
+    elements, ``class_of`` being :func:`_conjugacy_classes` of the group.
     """
-    if class_of is None:
-        class_of = _conjugacy_classes(group)
     class_size = Counter(class_of)
     n = group.order
     classes: dict[tuple[int, int], list[int]] = {}
@@ -931,38 +923,25 @@ def _label_classes(group: FiniteGroup,
     return sorted(classes.values(), key=lambda c: (len(c), c[0]))
 
 
-def _conjugacy_representatives(class_of: list[int],
-                               members: list[int]) -> list[int]:
-    """The first member of each conjugacy class meeting ``members``."""
-    reps: list[int] = []
-    seen: set[int] = set()
-    for a in members:
-        if class_of[a] not in seen:
-            reps.append(a)
-            seen.add(class_of[a])
-    return reps
-
-
 def _generating_tuple(group: FiniteGroup, classes: list[list[int]],
-                      class_of: list[int] | None = None) -> list[int]:
+                      class_of: list[int]) -> list[int]:
     """A short generating tuple whose label classes have a small product.
 
     Tries one generator, then pairs of classes in order of their size
     product.  Inner automorphisms preserve labels, so the first entry of a
-    pair need only run over conjugacy-class representatives.  A group that
+    pair need only run over one element per conjugacy class: its root,
+    the least element, which ``class_of`` maps to itself.  A group that
     no pair generates gets its greedy minimal generating sequence.
     """
     n = group.order
     for cls in classes:
         if group.element_order(cls[0]) == n:
             return [cls[0]]
-    if class_of is None:
-        class_of = _conjugacy_classes(group)
     pairs = sorted((len(a) * len(b), i, j)
                    for i, a in enumerate(classes)
                    for j, b in enumerate(classes[i:], start=i))
     for _, i, j in pairs:
-        for a in _conjugacy_representatives(class_of, classes[i]):
+        for a in (x for x in classes[i] if class_of[x] == x):
             for b in classes[j]:
                 if b != a and group.subgroup_bits((a, b)).bit_count() == n:
                     return [a, b]

@@ -215,6 +215,15 @@ FLAGS_TAIL = "r1: (1 3)(2 4)\nr2: (1 4)(2 3)\n"
      "flag count 200001 exceeds the cap of 200000 (LHM_MAX_GROUP_ORDER)"),
     (".flags", "flags: 4\nr0: (1 2)(3 5)\n" + FLAGS_TAIL, 2,
      "bad involution: point 5 outside 1..4"),
+    # Arabic-Indic digits are quoted in ASCII, a count as a point
+    (".grp", "name: a\ndegree: \u0660\u0662\u0660\u0660\u0660\u0660\u0661\n"
+     + GRP_TAIL, 2,
+     "degree 200001 exceeds the cap of 200000 (LHM_MAX_GROUP_ORDER)"),
+    (".flags", "flags: \u0662\u0660\u0660\u0660\u0660\u0661\n"
+     "r0: (1 2)(3 4)\n" + FLAGS_TAIL, 1,
+     "flag count 200001 exceeds the cap of 200000 (LHM_MAX_GROUP_ORDER)"),
+    (".flags", "flags: 4\nr0: (1 2)(3 \u0665)\n" + FLAGS_TAIL, 2,
+     "bad involution: point 5 outside 1..4"),
 ])
 def test_each_input_fault_is_one_parse_error(tmp_path, monkeypatch, capsys,
                                              suffix, text, line, message):
@@ -501,6 +510,35 @@ def test_cli_family_bad_parameter_exit_1():
     code, _, err = run_cli("family", "--family", "z2xd2n", "--n", "2")
     assert code == 1
     assert "n >= 3" in err
+
+
+def test_cli_family_platonic_table_and_json(capsys):
+    assert main(["family", "--family", "platonic", "--solid", "cube"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "platonic map cube: schlafli (4, 3), group order 48",
+        "triple: (1 2)(3 4)(5 6); (2 3); (3 4)"]
+    assert main(["family", "--family", "platonic", "--solid", "icosahedron",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload.pop("manifest")
+    assert payload == {
+        "solid": "icosahedron", "schlafli": [3, 5], "group_order": 120,
+        "r0": "(2 3)(4 5)(6 7)", "r1": "(1 2)(4 5)(6 7)",
+        "r2": "(2 4)(3 5)(6 7)"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "z2xd2n"], "--family z2xd2n requires --n"),
+    (["--family", "d2m"], "--family d2m requires --m"),
+    (["--family", "platonic"], "--family platonic requires --solid"),
+    (["--family", "d2m", "--m", "8", "--derive", "medial"],
+     "--derive only applies to --family platonic"),
+])
+def test_cli_family_missing_parameter_is_a_usage_error(capsys, argv, message):
+    assert main(["family", *argv]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"usage error: {message}"]
 
 
 def test_cli_census(data_dir, tmp_path):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import sys
+import threading
 import time
 
 import pytest
@@ -297,11 +299,7 @@ _LABEL_GROUPS = {
 
 @pytest.mark.parametrize("name", sorted(_LABEL_GROUPS))
 def test_centraliser_labels_and_classes_match_brute_force(name):
-    from linhyp.permgroup import (
-        _conjugacy_classes,
-        _conjugacy_representatives,
-        _label_classes,
-    )
+    from linhyp.permgroup import _conjugacy_classes, _label_classes
 
     words, degree = _LABEL_GROUPS[name]
     g = closure([parse_cycles(w, degree) for w in words])
@@ -314,21 +312,24 @@ def test_centraliser_labels_and_classes_match_brute_force(name):
 
     conjugates = [{mul(mul(g.inverse_index(h), x), h) for h in elements}
                   for x in elements]
-    classes = _label_classes(g)
+    class_of = _conjugacy_classes(g)
+    assert class_of == [min(conjugates[x]) for x in elements]
+    classes = _label_classes(g, class_of)
     assert sorted(x for cls in classes for x in cls) == list(range(1, n))
     labels = [{label(x) for x in cls} for cls in classes]
     assert all(len(ls) == 1 for ls in labels)
     assert len(set.union(*labels)) == len(classes)
     assert classes == sorted(classes, key=lambda c: (len(c), c[0]))
 
-    class_of = _conjugacy_classes(g)
-    assert class_of == [min(conjugates[x]) for x in elements]
-    for members in classes + [list(reversed(elements))]:
+    # _generating_tuple's first entries: the roots, in a class's order, are
+    # the first member met of each conjugacy class
+    for members in classes:
+        assert members == sorted(members)
         expected = []
         for a in members:
             if not any(a in conjugates[r] for r in expected):
                 expected.append(a)
-        assert _conjugacy_representatives(class_of, members) == expected
+        assert [x for x in members if class_of[x] == x] == expected
 
 
 # --- subgroups ---------------------------------------------------------------
@@ -802,11 +803,17 @@ def test_automorphism_group_s4xz2(s4xz2):
 
 @pytest.mark.parametrize("name", ["s4", "a5xz2"])
 def test_cayley_walk_gives_order_code_and_automorphism_images(name, request):
-    from linhyp.permgroup import _cayley_walk, _generating_tuple, _label_classes
+    from linhyp.permgroup import (
+        _cayley_walk,
+        _conjugacy_classes,
+        _generating_tuple,
+        _label_classes,
+    )
 
     g = request.getfixturevalue(name)
     n = g.order
-    gens = _generating_tuple(g, _label_classes(g))
+    class_of = _conjugacy_classes(g)
+    gens = _generating_tuple(g, _label_classes(g, class_of), class_of)
     k = len(gens)
     order, code = _cayley_walk(g, gens)
     assert sorted(order) == list(range(n))
@@ -837,6 +844,52 @@ def test_automorphisms_form_a_group(s4):
         assert a.inverse() in auts
         for b in auts:
             assert a.compose(b) in auts
+
+
+def test_concurrent_callers_list_the_automorphisms_once(monkeypatch):
+    g = closure([parse_cycles("(1 2 3 4)", 4), parse_cycles("(1 2)", 4)])
+    calls = []
+    compute = permgroup._compute_automorphisms
+
+    def counted(group, max_order):
+        calls.append(group)
+        return compute(group, max_order)
+
+    monkeypatch.setattr(permgroup, "_compute_automorphisms", counted)
+    barrier = threading.Barrier(8, timeout=30)
+    lists = []
+
+    def ask():
+        barrier.wait()
+        lists.append(automorphism_group(g))
+
+    threads = [threading.Thread(target=ask) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert calls == [g]
+    assert len(lists) == 8 and len(lists[0]) == 24
+    assert all(auts == lists[0] for auts in lists)
+
+
+def test_pickled_group_keeps_its_automorphisms(monkeypatch):
+    g = closure([parse_cycles("(1 2 3 4 5)", 5), parse_cycles("(1 2 3)", 5)])
+    mappings = [a.mapping for a in automorphism_group(g)]
+
+    def refuse(group, max_order):
+        raise AssertionError("automorphisms listed again")
+
+    monkeypatch.setattr(permgroup, "_compute_automorphisms", refuse)
+    copy = pickle.loads(pickle.dumps(g))
+    assert [a.mapping for a in automorphism_group(copy)] == mappings
+    assert all(a.group is copy for a in automorphism_group(copy))
 
 
 def test_automorphism_cap():
