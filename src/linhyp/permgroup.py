@@ -286,6 +286,8 @@ class FiniteGroup:
         self._largest_proper: int | None = None
         self._words: list[str | None] = [None] * self.order
         self._aut_cache: tuple[GroupAutomorphism, ...] | None = None
+        # linhyp.regular's latest admissibility check: (sorted triple, memo)
+        self._checked: tuple[tuple[int, ...], dict] | None = None
 
     @property
     def has_table(self) -> bool:

@@ -22,6 +22,13 @@ checking many triples of one group shares through its memo.
 ``admissible_triples`` stop at the first failure.  A hypermap is built
 only from a triple that passed, with the memo its check filled, so H and
 K are not closed again; the report itself carries only the checks.
+
+Each triple is checked once, also when a caller validates it and then
+builds it.  A group keeps one slot for ``validate_regular`` and
+``from_triple``: the memo of its latest check, under the sorted triple.
+It holds one triple's closures and never a verdict, so ``from_triple``
+right after ``validate_regular`` evaluates all three conditions again but
+closes no subgroup.
 """
 
 from __future__ import annotations
@@ -229,9 +236,31 @@ def _report(t: InvolutionTriple, memo: dict) -> ValidationReport:
         "generates", "stabilizer-intersection", "product-intersection")))
 
 
+def _check(t: InvolutionTriple) -> tuple[ValidationReport, dict]:
+    """The report of ``t`` and the memo its check filled, kept in the
+    group's ``_checked`` slot under the sorted triple.  Checking the same
+    three involutions again, in any order, reuses that memo; any other
+    triple replaces it with a fresh one.  Each memo entry depends on the
+    group alone, so the key only bounds the slot to one triple's closures.
+    A passing check also closes ``<r0, r1>``, the one stabilizer its
+    hypermap needs that the conditions do not."""
+    group, key = t.group, tuple(sorted(t.indices))
+    checked = group._checked
+    memo = checked[1] if checked is not None and checked[0] == key else {}
+    group._checked = (key, memo)
+    report = _report(t, memo)
+    if report.ok:
+        _pair_bits(group, t.r0, t.r1, memo)
+    return report, memo
+
+
 def validate_regular(t: InvolutionTriple) -> ValidationReport:
-    """Generation plus the two subgroup conditions, as report entries."""
-    return _report(t, {})
+    """Generation plus the two subgroup conditions, as report entries.
+
+    The group keeps this check's closures, not its verdict, until it
+    checks another triple, so ``RegularLinearHypermap.from_triple(t)``
+    right after it closes no subgroup."""
+    return _check(t)[0]
 
 
 @dataclass(frozen=True)
@@ -246,8 +275,11 @@ class RegularLinearHypermap:
 
     @classmethod
     def from_triple(cls, t: InvolutionTriple) -> RegularLinearHypermap:
-        memo: dict = {}
-        report = _report(t, memo)
+        """Check ``t`` and build its hypermap, or raise ``InvalidHypermap``
+        naming each failed check.  The three conditions are evaluated every
+        time, from the closures of ``validate_regular(t)`` when that was the
+        group's latest check."""
+        report, memo = _check(t)
         if not report.ok:
             raise InvalidHypermap(
                 "triple is not a regular linear hypermap: "
@@ -259,8 +291,8 @@ class RegularLinearHypermap:
         """The hypermap of a triple already known to be admissible, so
         generating G: the one place that builds the stabilizers, and it
         does not check.  H and K come from the ``memo`` of that check, and
-        so does L when a scan's memo holds ``<r0, r1>`` already; G^2 is
-        the group's own."""
+        so does L after ``_check`` or when a scan's memo holds ``<r0, r1>``
+        already; G^2 is the group's own."""
         g, (r0, r1, r2) = t.group, t.indices
         return cls(
             triple=t,

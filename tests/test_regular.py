@@ -3,6 +3,8 @@ from __future__ import annotations
 import functools
 import pickle
 import random
+import sys
+import threading
 from collections import deque
 
 import pytest
@@ -36,6 +38,7 @@ from linhyp.regular import (
     MSequence,
     RegularLinearHypermap,
     _orientable,
+    _report,
     _span_bits,
     is_isomorphic,
     triple_from_words,
@@ -548,6 +551,171 @@ def test_square_subgroup_is_closed_once_per_group_and_pickles(monkeypatch):
     assert str(hypermap(copy, GENUS10_256).m_sequence()) == str(
         second.m_sequence())
     assert normal == [squares]
+
+
+def test_validating_then_building_closes_nothing_again(monkeypatch):
+    a7 = closure([parse_cycles(w, 7) for w in ("(1 2 3 4 5 6 7)", "(1 2 3)")])
+    t = triple_from_words(a7, "(2 5)(3 4);(1 5)(6 7);(1 4)(3 6)")
+    calls, _ = _recording(monkeypatch, a7)
+    assert validate_regular(t).ok
+    r0, r1, r2 = t.indices
+    assert sorted(calls) == sorted([
+        _pair_seeds(a7, r1, r2), _pair_seeds(a7, r0, r2),
+        (a7.mul(r0, r1), r0, r2), _pair_seeds(a7, r0, r1)])
+    calls.clear()
+    m = RegularLinearHypermap.from_triple(t)
+    assert calls == []
+    assert str(m.m_sequence()) == "[317;3,4,6;420,315,210;2520]"
+    # the slot holds one triple: checking another one starts afresh
+    assert not validate_regular(triple_from_words(
+        a7, "(1 2)(3 4);(2 3)(4 5);(1 6)(2 5)")).ok
+    calls.clear()
+    assert RegularLinearHypermap.from_triple(t) == m
+    assert len(calls) == 4
+
+
+_SLOT_GROUPS = {
+    "s4": (["(1 2)", "(1 2 3 4)"], 4),
+    "a5xz2": (["(1 2 3 4 5)", "(1 2 3)", "(6 7)"], 7),
+    # two more groups of order 24 with other tables on the same indices:
+    # S4 on the points 1, 2, 3, 5, and Z2 x D6
+    "s4-on-1235": (["(1 5)", "(1 2 3 5)"], 5),
+    "z2xd6": (["(1 2 3 4 5 6)", "(1 6)(2 5)(3 4)", "(7 8)"], 8),
+}
+
+
+@functools.cache
+def _slot_groups():
+    """Per named group: the group the interleavings share, a twin closed
+    from the same generators for the fresh-memo answers, and ordered
+    involution triples: up to six passing ones on distinct involution
+    sets, six whose involutions pass in no order and, for a group of order
+    24, those of the other groups of order 24 that are involution triples
+    in it too, so that two groups check triples of the same indices."""
+    rng = random.Random(24)
+    out = []
+    for words, degree in _SLOT_GROUPS.values():
+        group, twin = (closure([parse_cycles(w, degree) for w in words])
+                       for _ in range(2))
+        passing = {tuple(sorted(t.indices)): t.indices
+                   for t in admissible_triples(twin)}
+        failing = [t for t in dict.fromkeys(
+            tuple(rng.sample(involutions(twin), 3)) for _ in range(40))
+            if tuple(sorted(t)) not in passing]
+        out.append((group, twin, rng.sample(sorted(passing.values()), 6)
+                    + failing[:6]))
+    for group, _, base in out:
+        invs = set(involutions(group))
+        base += [t for other, _, theirs in out if other is not group
+                 and other.order == group.order == 24
+                 for t in theirs[:12] if invs.issuperset(t)]
+    return out
+
+
+def _built(m):
+    return (m.triple.indices, str(m.m_sequence()), m.orientable,
+            m.vertex_stabilizer.bits, m.hyperedge_stabilizer.bits,
+            m.hyperface_stabilizer.bits)
+
+
+@functools.cache
+def _fresh_answers(i, indices):
+    """What a fresh memo gives on ``indices`` of group ``i``: the report,
+    and the built hypermap or the ``InvalidHypermap`` message."""
+    twin = _slot_groups()[i][1]
+    t = InvolutionTriple(twin, *indices)
+    twin._checked = None
+    try:
+        built = _built(RegularLinearHypermap.from_triple(t))
+    except InvalidHypermap as exc:
+        built = str(exc)
+    return _report(t, {}), built
+
+
+_slot_ops = st.lists(st.tuples(
+    st.integers(0, len(_SLOT_GROUPS) - 1), st.integers(0, 35),
+    st.permutations((0, 1, 2)),
+    st.sampled_from(("validate", "build", "build", "pickle"))), max_size=40)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_slot_ops)
+def test_the_slot_never_lends_a_stale_verdict(ops):
+    groups = [group for group, _, _ in _slot_groups()]
+    for i, pick, order, action in ops:
+        base = _slot_groups()[i][2]
+        indices = tuple(base[pick % len(base)][j] for j in order)
+        if action == "pickle":
+            # a copy carries the slot it was pickled with
+            groups[i] = pickle.loads(pickle.dumps(groups[i]))
+        t = InvolutionTriple(groups[i], *indices)
+        report, built = _fresh_answers(i, indices)
+        assert _report(t, {}) == report
+        if action == "validate":
+            assert validate_regular(t) == report
+        elif isinstance(built, str):
+            with pytest.raises(InvalidHypermap) as exc:
+                RegularLinearHypermap.from_triple(t)
+            assert str(exc.value) == built
+        else:
+            assert _built(RegularLinearHypermap.from_triple(t)) == built
+
+
+def test_the_slot_groups_give_passing_and_failing_triples():
+    verdicts = [[_fresh_answers(i, t)[0].ok for t in base[:12]]
+                for i, (_, _, base) in enumerate(_slot_groups())]
+    assert [v.count(True) for v in verdicts] == [6, 6, 6, 6]
+    shared = [len(base) - 12 for _, _, base in _slot_groups()]
+    assert shared[1] == 0 and min(shared[0], shared[2], shared[3]) > 0
+
+
+def test_threads_sharing_a_group_give_the_serial_answers():
+    group, twin = (closure([parse_cycles(w, 7) for w in (
+        "(1 2 3 4 5)", "(1 2 3)", "(6 7)")]) for _ in range(2))
+    passing = [t.indices for t in admissible_triples(twin)][::7][:8]
+    rng = random.Random(8)
+    invs = involutions(twin)
+    failing = [tuple(rng.sample(invs, 3)) for _ in range(8)]
+    triples = [x for pair in zip(passing, failing) for x in pair]
+
+    def answers(g, shift):
+        out = {}
+        for k in range(2 * len(triples)):
+            indices = triples[(k // 2 + shift) % len(triples)]
+            t = InvolutionTriple(g, *indices)
+            if k % 2 == 0:
+                out[indices, "validate"] = validate_regular(t)
+            else:
+                try:
+                    out[indices, "build"] = _built(
+                        RegularLinearHypermap.from_triple(t))
+                except InvalidHypermap as exc:
+                    out[indices, "build"] = str(exc)
+        return out
+
+    serial = answers(twin, 0)
+    assert {v.ok for (_, kind), v in serial.items() if kind == "validate"} == {
+        True, False}
+    barrier = threading.Barrier(8, timeout=30)
+    results = []
+
+    def ask(shift):
+        barrier.wait()
+        results.append(answers(group, shift))
+
+    threads = [threading.Thread(target=ask, args=(3 * n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    assert all(r == serial for r in results)
 
 
 _GROUP_FILES = sorted((REPO_ROOT / "data").glob("*.grp")) + sorted(
