@@ -245,6 +245,29 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     return Permutation._of(tuple(images))
 
 
+class _Exits:
+    """Where a group's closures stop, found by
+    :meth:`FiniteGroup._find_exits` on its first closure; N is the group's
+    perfect residual.
+
+    ``squares`` is the bitset of ``G^2``.  A walk looks past ``first``
+    elements: ``|N|/mu``, or ``|G|/2`` or ``|G|/3`` when N is trivial; no
+    proper subgroup of N has index below ``mu``.  When ``1 < N < G``,
+    ``coset_of`` names each element's N-coset by its least element and
+    ``cosets`` maps each name to the coset's bitset.  ``class_of`` holds
+    the conjugacy class roots, when they were found.
+    """
+
+    __slots__ = ("squares", "first", "mu", "coset_of", "cosets", "class_of")
+
+    def __init__(self, squares: int, first: int, mu: int = 5,
+                 coset_of: list[int] | None = None,
+                 cosets: dict[int, int] | None = None,
+                 class_of: list[int] | None = None):
+        self.squares, self.first, self.mu = squares, first, mu
+        self.coset_of, self.cosets, self.class_of = coset_of, cosets, class_of
+
+
 class FiniteGroup:
     """A fully enumerated permutation group with index-based arithmetic.
 
@@ -282,8 +305,7 @@ class FiniteGroup:
         self._inverse = array("I", (self._index[e.inverse().images]
                                     for e in self.elements))
         self._orders: list[int | None] = [None] * self.order
-        self._squares: int | None = None
-        self._largest_proper: int | None = None
+        self._exits: _Exits | None = None
         self._words: list[str | None] = [None] * self.order
         self._aut_cache: tuple[GroupAutomorphism, ...] | None = None
         # linhyp.regular's latest admissibility check: (sorted triple, memo)
@@ -402,20 +424,29 @@ class FiniteGroup:
         without a table.  So only ``|<H, s>| / |H|`` representatives take a
         step each.
 
-        The walk stops as soon as it holds more elements than the largest
-        proper subgroup can (:meth:`_largest_proper_order`: ``|G|/5`` when G
-        is perfect, ``|G|/3`` when ``G^2 = G``, else ``|G|/2``).  They lie
-        in ``<H, s>``, which is then no proper subgroup, so ``<H, s>``, and
-        the subgroup the seeds generate with it, is the whole group: the
-        exit is exact.
+        The walk stops once the subgroup ``T = <seeds>`` it is filling can
+        only be ``M = <seeds>·N``, N being the perfect residual that
+        :meth:`_find_exits` finds on the first closure.  A proper ``T < M``
+        holding the seeds has ``T·N = M``, so ``|M : T| = |N : T∩N|``, the
+        index of a proper subgroup of N.  That is at least 5 when N is
+        perfect (on m < 5 cosets N would act through a solvable subgroup of
+        ``S_m``, with an abelian quotient), and at least ``mu``, the least m
+        with ``|N|`` dividing ``m!``, when N is simple, since N then embeds
+        in ``S_m``.  So past ``|M|/mu`` elements T is M, and the exit is
+        exact.  M is found, from the seeds' N-cosets, once the walk holds
+        more than ``|N|/mu`` elements.  When N is trivial the walk stops
+        past ``|G|/2`` (Lagrange), or past ``|G|/3`` when ``G^2 = G``, since
+        a subgroup of index 2 contains ``G^2``.
         """
         for s in seeds:
             self.check_index(s)
+        return self._closure_bits(seeds, self._exits or self._find_exits())
+
+    def _closure_bits(self, seeds: Sequence[int], exits: _Exits) -> int:
+        """:meth:`subgroup_bits` of checked seeds, stopping at ``exits``."""
         n, mul = self.order, self.mul
-        bound = self._largest_proper
-        if bound is None:
-            bound = self._largest_proper_order()
-        whole = (1 << n) - 1
+        bound = exits.first
+        target = (1 << n) - 1 if exits.cosets is None else None
         rows = None if self._flat is None else memoryview(self._flat)
         members = {0}
         steps = []  # left multiplication by each seed so far
@@ -430,8 +461,6 @@ class FiniteGroup:
                 while x:
                     members.add(x)
                     x = step(x)  # s * x = x * s
-                if len(members) > bound:
-                    return whole
                 continue
             h = tuple(members)
             take = operator.itemgetter(*h)
@@ -445,61 +474,109 @@ class FiniteGroup:
                                        if rows is not None
                                        else [mul(y, x) for x in h])
                         if len(members) > bound:
-                            return whole
+                            if target is None:
+                                target = self._residual_span(exits, seeds)
+                                bound = target.bit_count() // exits.mu
+                            if len(members) > bound:
+                                return target
                         reps.append(y)
         return _bits_of(members, n)
 
-    def _largest_proper_order(self) -> int:
-        """The largest order a proper subgroup can have, found with ``G^2``
-        on the first closure and kept: ``|G|//5`` when G is perfect
-        (``G' = G``), ``|G|//3`` when ``G^2 = G``, else ``|G|//2``.
+    def _residual_span(self, exits: _Exits, seeds: Sequence[int]) -> int:
+        """Bitset of ``M = <seeds>·N``: the N-cosets that the seeds' cosets
+        generate in ``G/N``, walked from N by right multiplication."""
+        coset_of, mul = exits.coset_of, self.mul
+        steps = set(map(coset_of.__getitem__, seeds))
+        found, seen = [0], {0}
+        for c in found:
+            for s in steps:
+                d = coset_of[mul(c, s)]
+                if d not in seen:
+                    seen.add(d)
+                    found.append(d)
+        return sum(map(exits.cosets.__getitem__, found))
 
-        A subgroup of index 2 is normal with quotient Z2, so it contains
-        ``G^2``: when ``G^2 = G`` every proper subgroup has index at least
-        3.  A subgroup of index m < 5 gives a transitive action of G on its
-        m cosets; the image is a nontrivial subgroup of S_m, solvable as S_m
-        is for m <= 4, so it has a nontrivial abelian quotient, and so would
-        G, which a perfect group does not.
+    def _find_exits(self) -> _Exits:
+        """What :meth:`subgroup_bits` stops at, found on the first closure
+        and kept in one assignment; pickled copies keep it too.
 
         ``G^2`` is the normal closure of ``g^2`` and ``(gh)^2`` over the
-        generators g, h, and ``G'`` that of the commutators ``[g, h]``:
-        modulo those the generators are commuting involutions, or commute.
-        ``G' <= G^2``, so ``G'`` is closed only when ``G^2 = G``.  While the
-        bound is found, closures stop past ``|G|/2``, which is always exact.
+        generators g, h: modulo those the generators are commuting
+        involutions.  The perfect residual N, the last term of the derived
+        series, lies in ``G^2``, which ``G/G^2`` being abelian shows, so it
+        is the last term of the derived series of ``G^2``, or of G when
+        ``G^2 = G``.  The derived subgroup of a normal subgroup ``<S>`` is
+        the normal closure of the commutators ``[a, b]`` of S, the series
+        ends once a term is perfect or trivial, and each term's seeds,
+        grown by the conjugates its normal closure added, generate it.
+
+        When N is G and G has a table, G is simple exactly when the normal
+        closure of each conjugacy class root but the identity is G; the
+        roots are kept for :func:`automorphism_group`.  When ``1 < N < G``
+        each element is labelled with the least element of its N-coset.
+        While the exits are found, closures stop past ``|G|/2``, ``|G|/3``
+        once ``G^2 = G`` is known, and ``|G|/5`` once G is known perfect.
         """
-        n, whole = self.order, (1 << self.order) - 1
-        self._largest_proper = n // 2
-        gens = self.generator_indices
-        pairs = list(itertools.combinations(gens, 2))
-        words = [*gens, *itertools.starmap(self.mul, pairs)]
-        self._squares = self._normal_closure(self.mul(w, w) for w in words)
-        if self._squares == whole:
-            commutators = [self.mul(self._inverse[self.mul(h, g)],
-                                    self.mul(g, h)) for g, h in pairs]
-            perfect = self._normal_closure(commutators) == whole
-            self._largest_proper = n // 5 if perfect else n // 3
-        return self._largest_proper
+        n, mul, whole = self.order, self.mul, (1 << self.order) - 1
+        exits = _Exits(0, n // 2)
+        gens = list(self.generator_indices)
+        seeds = [mul(w, w) for w in itertools.chain(
+            gens, itertools.starmap(mul, itertools.combinations(gens, 2)))]
+        squares = residual = self._normal_closure(seeds, exits)
+        if squares == whole:
+            exits, seeds = _Exits(squares, n // 3), gens
+        while residual != 1:
+            commutators = list(dict.fromkeys(
+                mul(self._inverse[mul(b, a)], mul(a, b))
+                for a, b in itertools.combinations(set(seeds) - {0}, 2)))
+            derived = self._normal_closure(commutators, exits)
+            if derived == residual:
+                break
+            residual, seeds = derived, commutators
+        if residual == 1:
+            self._exits = _Exits(squares, n // (3 if squares == whole else 2))
+            return self._exits
+        mu, class_of, coset_of, cosets = 5, None, None, None
+        if residual == whole and self._flat is not None:
+            exits = _Exits(squares, n // 5)
+            class_of = _conjugacy_classes(self)
+            if all(self._normal_closure([r], exits) == whole
+                   for r in set(class_of) - {0}):
+                factorial = 120  # a nonabelian simple G has |G| >= 60 > 4!
+                while factorial % n:
+                    mu += 1
+                    factorial *= mu
+        elif residual != whole:
+            members = _bit_indices(residual)
+            coset_of, cosets = [-1] * n, {}
+            for x in range(n):
+                if coset_of[x] < 0:
+                    coset = self._products([x], members)
+                    for y in coset:
+                        coset_of[y] = x
+                    cosets[x] = _bits_of(coset, n)
+        self._exits = _Exits(squares, residual.bit_count() // mu, mu,
+                             coset_of, cosets, class_of)
+        return self._exits
 
     def _square_bits(self) -> int:
         """Bitset of ``G^2``, the subgroup the squares generate, closed once
-        with the closure bound and kept."""
-        if self._squares is None:
-            self._largest_proper_order()
-        return self._squares
+        with the exits and kept."""
+        return (self._exits or self._find_exits()).squares
 
-    def _normal_closure(self, seeds: Iterable[int]) -> int:
+    def _normal_closure(self, seeds: list[int], exits: _Exits) -> int:
         """Bitset of the least normal subgroup holding the seeds.  A
         conjugate of a seed by a generator that lies outside the subgroup
         found so far joins the seeds; once none does, every generator
-        normalises the subgroup, so it is normal."""
-        seeds = list(seeds)
-        bits = self.subgroup_bits(seeds)
+        normalises the subgroup, so it is normal, and the seeds generate
+        it."""
+        bits = self._closure_bits(seeds, exits)
         for x in seeds:  # grows as conjugates join
             for g in self.generator_indices:
                 y = self._conjugates(g, (x,))[0]
                 if not bits >> y & 1:
                     seeds.append(y)
-                    bits = self.subgroup_bits(seeds)
+                    bits = self._closure_bits(seeds, exits)
         return bits
 
     def product_bits(self, a_bits: int, b_bits: int) -> int:
@@ -744,17 +821,16 @@ def normal_core(group: FiniteGroup, h: ElementSet) -> ElementSet:
 def _normal_core(group: FiniteGroup, h: ElementSet) -> ElementSet:
     """:func:`normal_core` of ``h``, not checked to be a subgroup.
 
-    Repeatedly intersects with generator conjugates; the fixpoint is
-    normalized by every generator, hence normal.
+    Repeatedly intersects the index set with its generator conjugates; the
+    fixpoint is normalized by every generator, hence normal.
     """
-    core = h
+    core = set(h.indices())
     while True:
-        refined = core
+        size = len(core)
         for g in group.generator_indices:
-            refined = refined.intersection(conjugate_set(group, refined, g))
-        if refined.bits == core.bits:
-            return core
-        core = refined
+            core.intersection_update(group._conjugates(g, core))
+        if len(core) == size:
+            return ElementSet(group, _bits_of(core, group.order))
 
 
 def involutions(group: FiniteGroup) -> list[int]:
@@ -953,10 +1029,12 @@ def _generating_tuple(group: FiniteGroup, classes: list[list[int]],
 def _compute_automorphisms(group: FiniteGroup,
                            max_order: int) -> list[GroupAutomorphism]:
     """Every automorphism; raises as soon as they outgrow ``max_order**2``
-    mapping entries."""
+    mapping entries.  The class roots are the group's kept ones when its
+    closure exits found them."""
     n = group.order
     limit = _aut_limit(group, max_order)
-    class_of = _conjugacy_classes(group)
+    exits = group._exits or group._find_exits()
+    class_of = exits.class_of or _conjugacy_classes(group)
     classes = _label_classes(group, class_of)
     if len(classes) == 1:
         # One label class means every non-identity element has the same

@@ -487,22 +487,40 @@ def _closed(words, degree, table):
                   table)
 
 
+def _bench_group(name, table):
+    path = REPO_ROOT / "perfbench" / "groups" / f"{name}.grp"
+    return _built(lambda: parse_group_file(path).group, table)
+
+
 @pytest.mark.parametrize("table", [True, False])
 @pytest.mark.parametrize("name, index", [
     ("a5", 5), ("psl27", 5), ("a6", 5), ("a7", 5),  # perfect
     ("a4", 3),  # G^2 = G, G' = V4
     ("s4", 2), ("s6xz2", 2), ("z2cubed", 2),
-    ("trivial", 5),  # perfect, with no proper subgroup
+    ("trivial", 5),  # perfect, not simple, with no proper subgroup
 ])
 def test_largest_proper_subgroup_order(name, index, table):
+    # |G|/index: past it a walk returns G when the perfect residual N is G
+    # or trivial; with a table, a simple G gives mu, the least m with |G|
+    # dividing m!: /6 on A6, /7 on PSL(2,7) and A7.  s6xz2 has N = A6:
+    # a span with <seeds>·N = G returns G past |G|/5, and the largest
+    # <seeds>·N below G has |G|/index elements
+    simple = {"psl27": 7, "a6": 6, "a7": 7} if table else {}
     words = {"a4": (("(1 2 3)", "(1 2)(3 4)"), 4), "trivial": (("()",), 1)}
     if name in words:
         group = _closed(*words[name], table)
     else:
-        path = REPO_ROOT / "perfbench" / "groups" / f"{name}.grp"
-        group = _built(lambda: parse_group_file(path).group, table)
-    n = group.order
-    assert group._largest_proper_order() == n // index
+        group = _bench_group(name, table)
+    n, whole = group.order, (1 << group.order) - 1
+    exits = group._find_exits()
+    if exits.cosets is None:
+        assert exits.first == n // simple.get(name, index)
+    else:
+        gens = group.generator_indices
+        assert group._residual_span(exits, gens) == whole
+        assert (exits.mu, exits.first) == (5, 360 // 5)
+        spans = [group._residual_span(exits, [c]) for c in exits.cosets]
+        assert max(m.bit_count() for m in spans if m != whole) == n // index
     # the normal closure of g^2 and (gh)^2 is the closure of all squares
     squares = sorted({group.mul(x, x) for x in range(n)})
     assert group._square_bits() == _breadth_first_closure(group, squares)
@@ -520,23 +538,109 @@ def test_subgroup_at_the_largest_proper_order_keeps_its_own_bits(table):
             (a5, ("(1 2 3)", "(1 2)(3 4)"), 12),
             (a4, ("(1 2)(3 4)", "(1 3)(2 4)"), 4),
             (z9, ("(1 4 7)(2 5 8)(3 6 9)",), 3)):
-        assert group._largest_proper_order() == order
+        assert group._find_exits().first == order
         seeds = [group.index_of(parse_cycles(w, group.degree)) for w in words]
         bits = group.subgroup_bits(seeds)
         assert bits == _breadth_first_closure(group, seeds)
         assert bits.bit_count() == order
 
 
+@pytest.mark.parametrize("table", [True, False])
+@pytest.mark.parametrize("name, words, mu", [
+    ("a7", ("(1 2 3 4 5)", "(4 5 6)"), 7),  # A6, the stabiliser of 7
+    ("psl27", None, 7),  # S4, the stabiliser of 1
+    ("a6", ("(1 2 3 4 5)", "(1 2 3)"), 6),  # A5, the stabiliser of 6
+    ("s5", ("(1 2)", "(1 2 3 4)"), 5),  # S4, with <seeds>·A5 = S5
+])
+def test_subgroup_of_exactly_the_exit_order_keeps_its_own_bits(
+        name, words, mu, table):
+    # each subgroup has |M|/mu elements for M = <seeds>·N, the most a
+    # proper subgroup of M can have, so the walk does not stop at M
+    group = _bench_group(name, table)
+    exits = group._find_exits()
+    assert exits.mu == (mu if table else 5)
+    if words is None:
+        seeds = [i for i, p in enumerate(group.elements) if p.images[0] == 0]
+    else:
+        seeds = [group.index_of(parse_cycles(w, group.degree)) for w in words]
+    bits = group.subgroup_bits(seeds)
+    assert bits == _breadth_first_closure(group, seeds)
+    assert bits.bit_count() * mu == group.order
+
+
+def test_perfect_group_that_is_not_simple_keeps_mu_at_5():
+    # A5 x A5 is perfect, and 3600 divides no m! below 10!, but it is not
+    # simple: A5 x A4 has index 5 and keeps its own bits
+    g = closure([parse_cycles(w, 10) for w in (
+        "(1 2 3 4 5)", "(1 2 3)", "(6 7 8 9 10)", "(6 7 8)")])
+    assert g.has_table and g.order == 3600
+    exits = g._find_exits()
+    assert (exits.mu, exits.first, exits.cosets) == (5, 720, None)
+    seeds = [g.index_of(parse_cycles(w, 10)) for w in (
+        "(1 2 3 4 5)", "(1 2 3)", "(6 7 8)", "(6 7)(8 9)")]
+    bits = g.subgroup_bits(seeds)
+    assert bits == _breadth_first_closure(g, seeds)
+    assert bits.bit_count() == 720
+
+
+@pytest.mark.parametrize("table", [True, False])
+def test_seeds_spanning_s6_in_s6xz2_return_that_index_2_subgroup(table):
+    s6xz2 = _bench_group("s6xz2", table)
+    seeds = [s6xz2.index_of(parse_cycles(w, 8))
+             for w in ("(1 2)", "(1 2 3 4 5 6)")]
+    s6 = sum(1 << i for i, p in enumerate(s6xz2.elements) if p.images[6] == 6)
+    assert s6.bit_count() == 720
+    exits = s6xz2._find_exits()
+    assert exits.first == 360 // 5 and len(exits.cosets) == 4
+    assert s6xz2._residual_span(exits, seeds) == s6
+    assert s6xz2.subgroup_bits(seeds) == s6
+
+
+@pytest.mark.parametrize("table", [True, False])
+@pytest.mark.parametrize("name", ["s5", "a5xz2", "s5xz2", "s6xz2"])
+def test_subgroup_bits_matches_breadth_first_closure_on_seeded_seeds(
+        name, table):
+    # seeds drawn from the whole group, the involutions, G^2 and the
+    # stabiliser of the point 1, so that <seeds>·N runs over G and its
+    # proper subgroups holding the perfect residual N
+    import random
+    group = _bench_group(name, table)
+    n = group.order
+    squares = group._square_bits()
+    pools = [range(n), involutions(group),
+             [x for x in range(n) if squares >> x & 1],
+             [i for i, p in enumerate(group.elements) if p.images[0] == 0]]
+    rng = random.Random(f"{name}-seeds")
+    for _ in range(300 if table else 60):
+        pool = rng.choice(pools)
+        seeds = [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+        assert group.subgroup_bits(seeds) == _breadth_first_closure(
+            group, seeds), seeds
+
+
+@pytest.mark.parametrize("name", ["a5xz2", "s5"])
+def test_normal_core_is_the_meet_of_all_conjugates(name):
+    group = _bench_group(name, True)
+    n, mul, inv = group.order, group.mul, group.inverse_index
+    invs = involutions(group)
+    for a, b in itertools.combinations(invs, 2):
+        h = _breadth_first_closure(group, [a, b])
+        members = [x for x in range(n) if h >> x & 1]
+        meet = h
+        for g in range(n):
+            meet &= sum(1 << mul(mul(inv(g), x), g) for x in members)
+        assert normal_core(group, ElementSet(group, h)).bits == meet
+
+
 def test_generating_pair_of_a7_stops_past_half_the_group(monkeypatch):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(permgroup, "TABLE_LIMIT", 0)
-        a7 = closure([parse_cycles(w, 7) for w in ("(1 2 3 4 5 6 7)", "(1 2 3)")])
-    assert not a7.has_table and a7.order == 2520
+    a7 = closure([parse_cycles(w, 7) for w in ("(1 2 3 4 5 6 7)", "(1 2 3)")])
     n = a7.order
     s, t = (a7.index_of(parse_cycles(w, 7)) for w in ("(1 2 3 4 5 6 7)", "(1 2 3)"))
     block = a7.element_order(s)
-    bound = a7._largest_proper_order()  # found before mul is counted
-    assert bound == n // 5
+    # A7 is simple and embeds in no S_m for m < 7: found with the table,
+    # which is then set aside, so that every element gathered is one mul
+    assert a7._square_bits() == (1 << n) - 1 and a7._exits.first == n // 7
+    monkeypatch.setattr(a7, "_flat", None)
     calls = 0
     mul = a7.mul
 
@@ -547,11 +651,10 @@ def test_generating_pair_of_a7_stops_past_half_the_group(monkeypatch):
 
     monkeypatch.setattr(a7, "mul", counting_mul)
     assert a7.subgroup_bits((s, t)) == (1 << n) - 1
-    # without a table every element gathered is one mul: the cyclic group
-    # <s> and its cosets, at most n/5 + |<s>| before the walk stops (A7 is
-    # perfect), plus one step per seed from each coset representative
+    # the cyclic group <s> and its cosets, at most n/7 + |<s>| before the
+    # walk stops, plus one step per seed from each coset representative
     # walked; the full walk would gather all n
-    assert calls <= n // 5 + block + 2 * (n // (5 * block) + 1) < n
+    assert calls <= n // 7 + block + 2 * (n // (7 * block) + 1) < n
 
 
 def test_lagrange_for_all_involution_pairs(s4):

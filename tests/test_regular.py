@@ -469,16 +469,14 @@ def _squares(group):
 
 def _recording(monkeypatch, group):
     """The seeds of every ``subgroup_bits`` call on ``group``'s class, and
-    the bitset of every ``_normal_closure``, whose own closures are left
-    out of the seeds."""
+    the bitset of every ``_normal_closure``, whose own closures are not
+    ``subgroup_bits`` calls."""
     calls, normal = [], []
     cls = type(group)
     original, original_normal = cls.subgroup_bits, cls._normal_closure
 
-    def closing(self, seeds):
-        before = len(calls)
-        bits = original_normal(self, seeds)
-        del calls[before:]
+    def closing(self, seeds, exits):
+        bits = original_normal(self, seeds, exits)
         normal.append(bits)
         return bits
     monkeypatch.setattr(cls, "subgroup_bits",
@@ -497,6 +495,10 @@ def test_each_triple_closes_each_subgroup_once(monkeypatch, a5xz2):
     a7 = closure([parse_cycles(w, 7) for w in ("(1 2 3 4 5 6 7)", "(1 2 3)")])
     t = triple_from_words(a7, "(2 5)(3 4);(1 5)(6 7);(1 4)(3 6)")
     r0, r1, r2 = t.indices
+    # the first closure finds the exits: A7 is simple and embeds in no S_m
+    # for m < 7, so a closure past |A7|/7 = 360 elements is A7
+    a7._square_bits()
+    assert a7._exits.first == a7.order // 7
     calls, normal = _recording(monkeypatch, a7)
     m = RegularLinearHypermap.from_triple(t)
     # H, K and L lead with their rotations; r0r1 (order 6) is the rotation
@@ -505,15 +507,12 @@ def test_each_triple_closes_each_subgroup_once(monkeypatch, a5xz2):
     assert sorted(calls) == sorted([
         _pair_seeds(a7, r1, r2), _pair_seeds(a7, r0, r2), (r0r1, r0, r2),
         _pair_seeds(a7, r0, r1)])
-    # the first closure finds the closure bound: G^2 = A7, then G' = A7
-    whole = (1 << a7.order) - 1
-    assert normal == [whole, whole]
-    assert a7._largest_proper == a7.order // 5
+    assert normal == []
 
     calls.clear()
     assert str(m.m_sequence()) == "[317;3,4,6;420,315,210;2520]"
     assert str(m.dual().m_sequence()) == "[317;4,3,6;315,420,210;2520]"
-    assert calls == [] and len(normal) == 2
+    assert calls == [] and normal == []
 
     # classify reads H, K and L from its scan's memo and G^2 from the
     # group: building the classes closes nothing
@@ -537,20 +536,21 @@ def test_square_subgroup_is_closed_once_per_group_and_pickles(monkeypatch):
     calls, normal = _recording(monkeypatch, g)
     first = hypermap(g, SPHERE_253)
     second = hypermap(g, GENUS10_256)
-    # G^2 = A5 has index 2, so G' is not closed and the bound stays |G|/2
+    # G^2 = A5 has index 2 and is perfect, its derived subgroup A5 again:
+    # it is the perfect residual N, and closures look past |A5|/5
     squares = g.subgroup_bits(_squares(g))
     assert squares.bit_count() == 60
-    assert normal == [squares]
+    assert normal == [squares, squares]
     assert (first.orientable, second.orientable) == (True, False)
 
     copy = pickle.loads(pickle.dumps(g))
     calls.clear()
     assert copy._square_bits() == squares
-    assert copy._largest_proper == 60
+    assert copy._exits.first == 12 and copy._exits.cosets[0] == squares
     assert calls == []
     assert str(hypermap(copy, GENUS10_256).m_sequence()) == str(
         second.m_sequence())
-    assert normal == [squares]
+    assert normal == [squares, squares]
 
 
 def test_validating_then_building_closes_nothing_again(monkeypatch):
