@@ -250,22 +250,39 @@ class _Exits:
     :meth:`FiniteGroup._find_exits` on its first closure; N is the group's
     perfect residual.
 
-    ``squares`` is the bitset of ``G^2``.  A walk looks past ``first``
-    elements: ``|N|/mu``, or ``|G|/2`` or ``|G|/3`` when N is trivial; no
-    proper subgroup of N has index below ``mu``.  When ``1 < N < G``,
-    ``coset_of`` names each element's N-coset by its least element and
-    ``cosets`` maps each name to the coset's bitset.  ``class_of`` holds
-    the conjugacy class roots, when they were found.
+    ``squares`` is the bitset of ``G^2``.  No proper subgroup of M has
+    index below ``mu``, M being ``<seeds>·N`` when N is not trivial and G
+    when it is: 2, 3 when ``G^2 = G``, 5 for a perfect N, or the least m
+    with ``|N|`` dividing ``m!`` for a simple N.  A walk looks past
+    ``first`` elements: ``|N|/mu``, or ``|G|/mu`` when N is trivial.  When
+    ``1 < N < G``, ``coset_of`` names each element's N-coset by its least
+    element and ``cosets`` maps each name to the coset's bitset.
+    ``class_of`` holds the conjugacy class roots, when they were found, and
+    ``bounds`` each Lagrange bound :meth:`largest_proper` has given.
     """
 
-    __slots__ = ("squares", "first", "mu", "coset_of", "cosets", "class_of")
+    __slots__ = ("squares", "first", "mu", "coset_of", "cosets", "class_of",
+                 "bounds")
 
-    def __init__(self, squares: int, first: int, mu: int = 5,
+    def __init__(self, squares: int, first: int, mu: int,
                  coset_of: list[int] | None = None,
                  cosets: dict[int, int] | None = None,
                  class_of: list[int] | None = None):
         self.squares, self.first, self.mu = squares, first, mu
         self.coset_of, self.cosets, self.class_of = coset_of, cosets, class_of
+        self.bounds: dict[tuple[int, int], int] = {}
+
+    def largest_proper(self, order: int, ell: int) -> int:
+        """The largest order a proper subgroup T of M can have when M has
+        ``order`` elements and ``ell`` divides ``|T|``, or 0 when there is
+        none.  ``|M : T|`` divides ``order / ell`` and is at least mu, so
+        it is the least divisor of ``order / ell`` from mu on."""
+        bound = self.bounds.get((order, ell))
+        if bound is None:
+            q = order // ell
+            bound = self.bounds[order, ell] = next(
+                (order // e for e in range(self.mu, q + 1) if q % e == 0), 0)
+        return bound
 
 
 class FiniteGroup:
@@ -390,14 +407,9 @@ class FiniteGroup:
     def element_order(self, i: int) -> int:
         self.check_index(i)
         cached = self._orders[i]
-        if cached is not None:
-            return cached
-        k, x = 1, i
-        while x != 0:
-            x = self.mul(x, i)
-            k += 1
-        self._orders[i] = k
-        return k
+        if cached is None:
+            cached = self._orders[i] = len(self._powers(i))
+        return cached
 
     def is_involution_index(self, i: int) -> bool:
         return i != 0 and self.mul(i, i) == 0
@@ -440,27 +452,45 @@ class FiniteGroup:
         """
         for s in seeds:
             self.check_index(s)
-        return self._closure_bits(seeds, self._exits or self._find_exits())
+        return self._closure_bits(seeds)
 
-    def _closure_bits(self, seeds: Sequence[int], exits: _Exits) -> int:
-        """:meth:`subgroup_bits` of checked seeds, stopping at ``exits``."""
+    def _closure_bits(self, seeds: Sequence[int], exits: _Exits | None = None,
+                      start: tuple[Sequence[int], Sequence[int]] = ((0,), ()),
+                      ell: int = 0) -> int:
+        """:meth:`subgroup_bits` of checked seeds, stopping at ``exits``.
+
+        The walk resumes from ``start``: the elements of a subgroup already
+        closed and the seeds that generate it, which count among the seeds.
+        Given ``ell``, a number dividing the order of every subgroup that
+        holds the seeds, M is found before the walk, which stops past the
+        largest order a proper subgroup of M holding the seeds can have
+        (:meth:`_Exits.largest_proper`), and returns M at once when there is
+        no such order.
+        """
+        exits = exits or self._exits or self._find_exits()
         n, mul = self.order, self.mul
+        rows = None if self._flat is None else memoryview(self._flat)
+
+        def step_of(s: int):  # left multiplication by s
+            return (rows[s * n:(s + 1) * n].__getitem__ if rows is not None
+                    else functools.partial(mul, s))
+
+        members, steps = set(start[0]), list(map(step_of, start[1]))
         bound = exits.first
         target = (1 << n) - 1 if exits.cosets is None else None
-        rows = None if self._flat is None else memoryview(self._flat)
-        members = {0}
-        steps = []  # left multiplication by each seed so far
+        if ell:
+            if target is None:
+                target = self._residual_span(exits, [*start[1], *seeds])
+            bound = exits.largest_proper(target.bit_count(), ell)
+            if len(members) > bound:
+                return target
         for s in seeds:
             if s in members:
                 continue
-            step = (rows[s * n:(s + 1) * n].__getitem__ if rows is not None
-                    else functools.partial(mul, s))
+            step = step_of(s)
             steps.append(step)
             if len(members) == 1:
-                x = s
-                while x:
-                    members.add(x)
-                    x = step(x)  # s * x = x * s
+                members.update(self._powers(s))
                 continue
             h = tuple(members)
             take = operator.itemgetter(*h)
@@ -475,7 +505,8 @@ class FiniteGroup:
                                        else [mul(y, x) for x in h])
                         if len(members) > bound:
                             if target is None:
-                                target = self._residual_span(exits, seeds)
+                                target = self._residual_span(
+                                    exits, [*start[1], *seeds])
                                 bound = target.bit_count() // exits.mu
                             if len(members) > bound:
                                 return target
@@ -510,21 +541,25 @@ class FiniteGroup:
         ends once a term is perfect or trivial, and each term's seeds,
         grown by the conjugates its normal closure added, generate it.
 
-        When N is G and G has a table, G is simple exactly when the normal
-        closure of each conjugacy class root but the identity is G; the
-        roots are kept for :func:`automorphism_group`.  When ``1 < N < G``
-        each element is labelled with the least element of its N-coset.
+        When ``1 < N < G`` each element is labelled with the least element
+        of its N-coset.  A nontrivial perfect N is simple exactly when the
+        normal closure in N of each of its conjugacy class roots but the
+        identity is N; the classes and normal closures are taken under
+        conjugation by N's seeds.  The test runs when G has a table and
+        ``|N|`` does not divide ``5! = 120``, below which mu stays 5; when
+        N is G the class roots are kept for :func:`automorphism_group`.
         While the exits are found, closures stop past ``|G|/2``, ``|G|/3``
-        once ``G^2 = G`` is known, and ``|G|/5`` once G is known perfect.
+        once ``G^2 = G`` is known, and ``|N|/5`` once N is known perfect,
+        so that a closure inside N never stops above ``|N|``.
         """
         n, mul, whole = self.order, self.mul, (1 << self.order) - 1
-        exits = _Exits(0, n // 2)
+        exits = _Exits(0, n // 2, 2)
         gens = list(self.generator_indices)
         seeds = [mul(w, w) for w in itertools.chain(
             gens, itertools.starmap(mul, itertools.combinations(gens, 2)))]
         squares = residual = self._normal_closure(seeds, exits)
         if squares == whole:
-            exits, seeds = _Exits(squares, n // 3), gens
+            exits, seeds = _Exits(squares, n // 3, 3), gens
         while residual != 1:
             commutators = list(dict.fromkeys(
                 mul(self._inverse[mul(b, a)], mul(a, b))
@@ -534,19 +569,10 @@ class FiniteGroup:
                 break
             residual, seeds = derived, commutators
         if residual == 1:
-            self._exits = _Exits(squares, n // (3 if squares == whole else 2))
+            self._exits = _Exits(squares, n // exits.mu, exits.mu)
             return self._exits
-        mu, class_of, coset_of, cosets = 5, None, None, None
-        if residual == whole and self._flat is not None:
-            exits = _Exits(squares, n // 5)
-            class_of = _conjugacy_classes(self)
-            if all(self._normal_closure([r], exits) == whole
-                   for r in set(class_of) - {0}):
-                factorial = 120  # a nonabelian simple G has |G| >= 60 > 4!
-                while factorial % n:
-                    mu += 1
-                    factorial *= mu
-        elif residual != whole:
+        coset_of, cosets, class_of = None, None, None
+        if residual != whole:
             members = _bit_indices(residual)
             coset_of, cosets = [-1] * n, {}
             for x in range(n):
@@ -555,8 +581,28 @@ class FiniteGroup:
                     for y in coset:
                         coset_of[y] = x
                     cosets[x] = _bits_of(coset, n)
-        self._exits = _Exits(squares, residual.bit_count() // mu, mu,
-                             coset_of, cosets, class_of)
+        size, mu = residual.bit_count(), 5
+        exits = _Exits(squares, size // 5, 5, coset_of, cosets)
+        if self._flat is not None and 120 % size:
+            if residual == whole:
+                inner, roots = gens, _conjugacy_classes(self)
+                class_of = roots  # kept for automorphism_group
+            else:
+                inner, span = [], 1  # a few of N's seeds that generate it
+                for x in seeds:
+                    if not span >> x & 1:
+                        inner.append(x)
+                        span = self._closure_bits(inner, exits)
+                roots = _orbit_roots([dict(zip(members, self._conjugates(
+                    g, members))) for g in inner], n, members)
+            if all(self._normal_closure([r], exits, inner) == residual
+                   for r in set(roots) - {-1, 0}):
+                factorial = 120  # a nonabelian simple N has |N| >= 60 > 4!
+                while factorial % size:
+                    mu += 1
+                    factorial *= mu
+        self._exits = _Exits(squares, size // mu, mu, coset_of, cosets,
+                             class_of)
         return self._exits
 
     def _square_bits(self) -> int:
@@ -564,15 +610,16 @@ class FiniteGroup:
         with the exits and kept."""
         return (self._exits or self._find_exits()).squares
 
-    def _normal_closure(self, seeds: list[int], exits: _Exits) -> int:
-        """Bitset of the least normal subgroup holding the seeds.  A
-        conjugate of a seed by a generator that lies outside the subgroup
-        found so far joins the seeds; once none does, every generator
-        normalises the subgroup, so it is normal, and the seeds generate
-        it."""
+    def _normal_closure(self, seeds: list[int], exits: _Exits,
+                        gens: Sequence[int] | None = None) -> int:
+        """Bitset of the least subgroup holding the seeds that ``gens``, by
+        default the group's generators, normalise.  A conjugate of a seed
+        by one of them that lies outside the subgroup found so far joins
+        the seeds; once none does, each of them normalises the subgroup,
+        and the seeds generate it."""
         bits = self._closure_bits(seeds, exits)
         for x in seeds:  # grows as conjugates join
-            for g in self.generator_indices:
+            for g in gens or self.generator_indices:
                 y = self._conjugates(g, (x,))[0]
                 if not bits >> y & 1:
                     seeds.append(y)
@@ -595,6 +642,27 @@ class FiniteGroup:
         for x in xs:
             products.update(take(rows[x * n:(x + 1) * n]))
         return products
+
+    def _powers(self, x: int) -> list[int]:
+        """The powers of x from the identity, ``x^i`` at i: a walk along
+        table row x, or one ``mul`` a step without the table."""
+        n = self.order
+        step = (memoryview(self._flat)[x * n:(x + 1) * n].__getitem__
+                if self._flat is not None else functools.partial(self.mul, x))
+        powers, y = [0], x
+        while y:
+            powers.append(y)
+            y = step(y)
+        return powers
+
+    def _left(self, x: int, points: Sequence[int]) -> tuple[int, ...]:
+        """x * p for each point, in order: table row x read at the points
+        (two leading reads of slot 0 keep the gather a tuple)."""
+        if self._flat is None:
+            return tuple(self.mul(x, p) for p in points)
+        n = self.order
+        row = memoryview(self._flat)[x * n:(x + 1) * n]
+        return operator.itemgetter(0, 0, *points)(row)[2:]
 
     def _column(self, h: int) -> list[int]:
         """The index of x*h for every x: column h of the table."""
@@ -708,10 +776,13 @@ def _closure_refused(degree: int, limit: int,
         f"{max_order})")
 
 
-def _orbit_roots(actions: Sequence[Sequence[int]], n: int) -> list[int]:
-    """The least point of each point's orbit under the maps ``actions``."""
+def _orbit_roots(actions: Sequence[Sequence[int]], n: int,
+                 points: Iterable[int] | None = None) -> list[int]:
+    """The least point of each point's orbit under the maps ``actions``,
+    over the points 0..n-1 or over ``points``, an ascending union of
+    orbits, and -1 elsewhere."""
     root_of = [-1] * n
-    for root in range(n):
+    for root in range(n) if points is None else points:
         if root_of[root] < 0:
             root_of[root] = root
             orbit = [root]

@@ -23,6 +23,18 @@ checking many triples of one group shares through its memo.
 only from a triple that passed, with the memo its check filled, so H and
 K are not closed again; the report itself carries only the checks.
 
+Each closure works from the rotations ``ρ = r1 r2`` and ``σ = r0 r2``.
+H is dihedral: the powers of ρ, one walk along a table row, and their
+products with r1 or r2, one gather; so is K, from σ.  Since
+``H = <ρ><r2>`` and ``r2 K = K``, HK is the union of the cosets
+``ρ^i K``, and KH that of the ``σ^j H``: k + m gathers for
+``|H| = 2k`` and ``|K| = 2m``.  The span's walk resumes from the
+largest of H, K and ``L = <r0,r1>`` and adds the third involution;
+every subgroup holding the triple has a multiple of
+``lcm(|H|, |K|, |L|)`` elements, so the walk stops once no proper
+subgroup can hold what it found, and S is then the whole of the
+subgroup M its closure exits name.
+
 Each triple is checked once, also when a caller validates it and then
 builds it.  A group keeps one slot for ``validate_regular`` and
 ``from_triple``: the memo of its latest check, under the sorted triple.
@@ -34,6 +46,7 @@ closes no subgroup.
 from __future__ import annotations
 
 import enum
+from math import lcm
 from typing import Iterator
 
 from ._frozen import dataclass, field
@@ -50,7 +63,7 @@ from .permgroup import (
     ElementSet,
     FiniteGroup,
     Permutation,
-    _bit_indices,
+    _bits_of,
     _cayley_walk,
     _normal_core,
     automorphism_group,
@@ -144,22 +157,22 @@ def _conditions(group: FiniteGroup, r0: int, r1: int, r2: int,
     """The admissibility checks of ``(r0, r1, r2)``, cheapest first.
 
     ``memo`` is owned by the caller and shared across triples of one
-    group: it keeps each pair subgroup (H and K) under its sorted index
-    pair, each span S under its sorted index triple and, under
-    ``("HK", H, K)`` for the sorted bitset pair, the elements of
-    ``HK & KH`` outside ``H | K``.  A failed check names the
-    least such element in its detail.
+    group: it keeps each pair subgroup (H and K, and L when a span starts
+    from it) as :func:`_pair` builds it under its sorted index pair, each
+    span S under its sorted index triple and, under ``("HK", H, K)`` for
+    the sorted bitset pair, the elements of ``HK & KH`` outside ``H | K``.
+    A failed check names the least such element in its detail.
     """
-    h = _pair_bits(group, r1, r2, memo)
-    k = _pair_bits(group, r0, r2, memo)
-    meet, cyclic = h & k, 1 | 1 << r2
+    h = _pair(group, r1, r2, memo)
+    k = _pair(group, r0, r2, memo)
+    meet, cyclic = h[0] & k[0], 1 | 1 << r2
     yield CheckResult(
         "stabilizer-intersection", meet == cyclic,
         "" if meet == cyclic else
         f"<r1,r2> meets <r0,r2> in {meet.bit_count()} elements; least "
         f"outside <r2>: {_least_word(group, meet & ~cyclic)}")
 
-    key = ("HK", h, k) if h < k else ("HK", k, h)
+    key = ("HK", h[0], k[0]) if h[0] < k[0] else ("HK", k[0], h[0])
     extra = memo.get(key)
     if extra is None:
         extra = memo[key] = _product_excess(group, h, k)
@@ -176,46 +189,73 @@ def _conditions(group: FiniteGroup, r0: int, r1: int, r2: int,
         f"triple generates a subgroup of order {span} < {group.order}")
 
 
-def _product_excess(group: FiniteGroup, h: int, k: int) -> int:
-    """The elements of ``HK & KH`` outside ``H | K``, as a bitset.
-
-    KH holds the inverses of the elements of HK, so x lies in both exactly
-    when x and x^-1 lie in HK: one product set is enough.
-    """
-    hs, ks = _bit_indices(h), _bit_indices(k)
-    hk, inverse = group._products(hs, ks), group._inverse
-    extra = 0
-    for x in hk.difference(hs, ks):
-        if inverse[x] in hk:
-            extra |= 1 << x
-    return extra
-
-
-def _pair_bits(group: FiniteGroup, a: int, b: int, memo: dict) -> int:
-    """The dihedral group ``<a, b>`` as a bitset, closed from its rotation:
-    one cyclic stage, then one coset gather."""
+def _pair(group: FiniteGroup, a: int, b: int,
+          memo: dict) -> tuple[int, list[int], list[int]]:
+    """The dihedral group ``<a, b>`` of two involutions, kept in ``memo``
+    under the sorted pair ``a < b``: its bitset, its rotations ``ρ^i`` for
+    ``ρ = ab``, and its elements, the rotations and then the reflections
+    ``aρ^i``, so that a and b come first among those.  One walk along
+    table row ρ, then one gather of row a."""
     key = (a, b) if a < b else (b, a)
-    bits = memo.get(key)
-    if bits is None:
-        bits = memo[key] = group.subgroup_bits((group.mul(*key), key[0]))
-    return bits
+    pair = memo.get(key)
+    if pair is None:
+        rotations = group._powers(group.mul(*key))
+        elements = [*rotations, *group._left(key[0], rotations)]
+        pair = memo[key] = (_bits_of(elements, group.order), rotations,
+                            elements)
+    return pair
+
+
+def _product_excess(group: FiniteGroup, h: tuple, k: tuple) -> int:
+    """The elements of ``HK & KH`` outside ``H | K``, as a bitset, for two
+    pair subgroups as :func:`_pair` keeps them: the two product sets met
+    and cut down by set operations in C."""
+    hk = _rotation_product(group, h, k)
+    hk &= _rotation_product(group, k, h)
+    hk.difference_update(h[2], k[2])
+    return _bits_of(hk, group.order)
+
+
+def _rotation_product(group: FiniteGroup, h: tuple, k: tuple) -> set[int]:
+    """HK, the union of the cosets xK over the rotations x of H.
+
+    H is its rotations times ``<a>`` for either of its generators a, and
+    ``aK = K`` when a lies in K, as r2 does for a triple's H and K; so HK
+    takes one gather of K per rotation of H.  When neither generator of H
+    lies in K, ``K | aK`` takes the place of K.
+    """
+    _, rotations, elements = h
+    k_bits, _, ks = k
+    a, b = elements[len(rotations):len(rotations) + 2]
+    if not (k_bits >> a & 1 or k_bits >> b & 1):
+        ks = [*ks, *group._left(a, ks)]
+    return group._products(rotations, ks)
 
 
 def _span_bits(group: FiniteGroup, r0: int, r1: int, r2: int,
                memo: dict) -> int:
     """The span ``S = <r0, r1, r2>`` as a bitset.
 
-    The closure leads with the product ``x*y`` of largest order among
-    r1r2, r0r2 and r0r1, then ``x``, so that the third involution ``z``
-    is added by walking the cosets of the largest dihedral pair subgroup
-    ``<x, y>``, one step each.
+    The walk resumes from the largest of the pair subgroups ``H = <r1,r2>``,
+    ``K = <r0,r2>`` and ``L = <r0,r1>``: H and K the checks have closed,
+    and L is closed, and kept, only when it is the largest.  The third
+    involution is then added coset by coset.  S holds H, K and L, so
+    ``|S|`` is a multiple of ``lcm(|H|, |K|, |L|)``, and the walk stops at
+    the Lagrange exit this gives (:meth:`FiniteGroup._closure_bits`).
     """
     key = tuple(sorted((r0, r1, r2)))
     bits = memo.get(key)
     if bits is None:
-        x, y, z = max(((r1, r2, r0), (r0, r2, r1), (r0, r1, r2)),
-                      key=lambda p: group.element_order(group.mul(p[0], p[1])))
-        bits = memo[key] = group.subgroup_bits((group.mul(x, y), x, z))
+        h, k = _pair(group, r1, r2, memo)[2], _pair(group, r0, r2, memo)[2]
+        n = group.element_order(group.mul(r0, r1))
+        if 2 * n > max(len(h), len(k)):
+            start, z = (_pair(group, r0, r1, memo)[2], (r0, r1)), r2
+        elif len(h) >= len(k):
+            start, z = (h, (r1, r2)), r0
+        else:
+            start, z = (k, (r0, r2)), r1
+        bits = memo[key] = group._closure_bits(
+            (z,), None, start, lcm(len(h), len(k), 2 * n))
     return bits
 
 
@@ -250,7 +290,7 @@ def _check(t: InvolutionTriple) -> tuple[ValidationReport, dict]:
     group._checked = (key, memo)
     report = _report(t, memo)
     if report.ok:
-        _pair_bits(group, t.r0, t.r1, memo)
+        _pair(group, t.r0, t.r1, memo)
     return report, memo
 
 
@@ -296,9 +336,9 @@ class RegularLinearHypermap:
         g, (r0, r1, r2) = t.group, t.indices
         return cls(
             triple=t,
-            vertex_stabilizer=ElementSet(g, _pair_bits(g, r1, r2, memo)),
-            hyperedge_stabilizer=ElementSet(g, _pair_bits(g, r0, r2, memo)),
-            hyperface_stabilizer=ElementSet(g, _pair_bits(g, r0, r1, memo)),
+            vertex_stabilizer=ElementSet(g, _pair(g, r1, r2, memo)[0]),
+            hyperedge_stabilizer=ElementSet(g, _pair(g, r0, r2, memo)[0]),
+            hyperface_stabilizer=ElementSet(g, _pair(g, r0, r1, memo)[0]),
             orientable=_orientable(g, r0, r1, r2),
         )
 

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import DATA_DIR
+from linhyp.catalog import parse_group_file
 from linhyp.classify import (
     admissible_triples,
     canonical_key,
@@ -14,6 +16,7 @@ from linhyp.classify import (
     classify,
     genus_upper_bound,
 )
+from linhyp.constructions import _SPHERE_ROWS, dihedral_times_z2_group
 from linhyp.errors import GroupTooLargeForAut, InternalCheckFailed
 from linhyp.hypermap import FlagHypermap, validate_hypermap
 from linhyp.permgroup import (
@@ -421,3 +424,32 @@ def test_genus_upper_bound_is_safe(a5xz2, a5xz2_classes):
         if ms.orientable:
             assert ms.genus <= bound_ori
         assert ms.genus <= bound_all
+
+
+def test_sphere_classification_derived_from_classify():
+    """The orientable genus-0 rows of the sphere table, found by classify.
+
+    A regular hypermap of type (k, m, n) with group G on the sphere has
+    Euler characteristic ``|G|/2k + |G|/2m + |G|/2n - |G|/2 = 2``, so
+    ``|G| = 4 / (1/k + 1/m + 1/n - 1)``.  Its triple satisfies the
+    relations of the extended triangle group Δ(k, m, n), so G is a quotient
+    of Δ, which for these types is finite of exactly this order: G is Δ.
+    Up to the order of the type, the spherical types are (2, 3, 3) with
+    Δ = S4, (2, 3, 4) with S4 x Z2, (2, 3, 5) with A5 x Z2 and (2, 2, n)
+    with D_n x Z2.  So classify on these groups finds every sphere
+    hypermap: the ten exceptional rows and the dihedral family.
+    """
+    rows = []
+    for name in ("s4", "s4xz2", "a5xz2"):
+        group = parse_group_file(DATA_DIR / f"{name}.grp").group
+        spheres = [c.m_sequence for c in classify(group, name).classes
+                   if c.m_sequence.genus == 0 and c.m_sequence.orientable]
+        rows.append(spheres)
+    assert [len(r) for r in rows] == [2, 4, 4]
+    assert {(m.genus, m.k, m.m, m.n, m.vertices, m.hyperedges,
+             m.hyperfaces, m.flags) for r in rows for m in r} == _SPHERE_ROWS
+    for n in range(3, 25):
+        group = dihedral_times_z2_group(n)[0]
+        spheres = [str(c.m_sequence) for c in classify(group, "").classes
+                   if c.m_sequence.genus == 0 and c.m_sequence.orientable]
+        assert spheres == [f"[0;2,2,{n};{n},{n},2;{4 * n}]"], n

@@ -502,9 +502,10 @@ def _bench_group(name, table):
 def test_largest_proper_subgroup_order(name, index, table):
     # |G|/index: past it a walk returns G when the perfect residual N is G
     # or trivial; with a table, a simple G gives mu, the least m with |G|
-    # dividing m!: /6 on A6, /7 on PSL(2,7) and A7.  s6xz2 has N = A6:
-    # a span with <seeds>·N = G returns G past |G|/5, and the largest
-    # <seeds>·N below G has |G|/index elements
+    # dividing m!: /6 on A6, /7 on PSL(2,7) and A7.  s6xz2 has N = A6,
+    # simple too, with mu = 6 found with the table and 5 without: a span
+    # with <seeds>·N = G returns G past |G|/mu, and the largest <seeds>·N
+    # below G has |G|/index elements
     simple = {"psl27": 7, "a6": 6, "a7": 7} if table else {}
     words = {"a4": (("(1 2 3)", "(1 2)(3 4)"), 4), "trivial": (("()",), 1)}
     if name in words:
@@ -518,12 +519,46 @@ def test_largest_proper_subgroup_order(name, index, table):
     else:
         gens = group.generator_indices
         assert group._residual_span(exits, gens) == whole
-        assert (exits.mu, exits.first) == (5, 360 // 5)
+        mu = 6 if table else 5
+        assert (exits.mu, exits.first) == (mu, 360 // mu)
+        assert exits.largest_proper(n, 1) == n // mu
         spans = [group._residual_span(exits, [c]) for c in exits.cosets]
         assert max(m.bit_count() for m in spans if m != whole) == n // index
     # the normal closure of g^2 and (gh)^2 is the closure of all squares
     squares = sorted({group.mul(x, x) for x in range(n)})
     assert group._square_bits() == _breadth_first_closure(group, squares)
+
+
+# (mu, first) with the table: trivial perfect residuals give 2 (none of
+# these groups has G^2 = G), simple ones the least m with |N| dividing m!,
+# which is 5 for A5; s6xz2's A6 is the one proper N that raises mu above 5
+_BUNDLED_EXITS = {
+    "a5": (5, 12), "a5xz2": (5, 12), "a6": (6, 60), "a7": (7, 360),
+    "psl27": (7, 24), "s4": (2, 12), "s4xz2": (2, 24), "s5": (5, 12),
+    "s5xz2": (5, 12), "s6xz2": (6, 60), "z2cubed": (2, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUNDLED_EXITS))
+def test_bundled_exits_and_the_simple_proper_residual(name):
+    group = _bench_group(name, True)
+    exits = group._find_exits()
+    assert (exits.mu, exits.first) == _BUNDLED_EXITS[name]
+    n, whole = group.order, (1 << group.order) - 1
+    if name == "s6xz2":
+        # N = A6 is simple and lies in no S_m for m < 6: a span that
+        # generates G returns it past 1440/6 = 240 elements, not 1440/5
+        assert exits.largest_proper(n, 1) == 240
+        # a closure inside N stops at N itself, the coset of the identity
+        seeds = [group.index_of(parse_cycles(w, 8))
+                 for w in ("(1 2 3 4 5)", "(4 5 6)")]
+        assert exits.cosets[0].bit_count() == 360
+        assert group.subgroup_bits(seeds) == exits.cosets[0]
+    # past |N|/mu elements, or |G|/mu when N is G or trivial, M is found
+    residual = exits.cosets[0].bit_count() if exits.cosets else n
+    assert exits.first == residual // exits.mu
+    if exits.cosets:
+        assert group._residual_span(exits, group.generator_indices) == whole
 
 
 @pytest.mark.parametrize("table", [True, False])
@@ -591,7 +626,7 @@ def test_seeds_spanning_s6_in_s6xz2_return_that_index_2_subgroup(table):
     s6 = sum(1 << i for i, p in enumerate(s6xz2.elements) if p.images[6] == 6)
     assert s6.bit_count() == 720
     exits = s6xz2._find_exits()
-    assert exits.first == 360 // 5 and len(exits.cosets) == 4
+    assert exits.first == 360 // (6 if table else 5) and len(exits.cosets) == 4
     assert s6xz2._residual_span(exits, seeds) == s6
     assert s6xz2.subgroup_bits(seeds) == s6
 

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_classify import random_generators
 
+import linhyp.regular
 from conftest import REPO_ROOT
 from linhyp.catalog import parse_group_file
 from linhyp.classify import admissible_triples, classify
@@ -44,6 +45,7 @@ from linhyp.regular import (
     triple_from_words,
     validate_regular,
 )
+from linhyp.report import CheckResult, ValidationReport
 
 SPHERE_253 = "(1 2)(3 5)(6 7);(1 2)(3 4)(6 7);(1 3)(2 4)(6 7)"
 SPHERE_235 = "(1 2)(3 5)(6 7);(1 3)(2 4)(6 7);(1 2)(3 4)(6 7)"
@@ -120,16 +122,18 @@ def test_product_failure_names_an_element_of_hk_kh_outside_h_union_k():
 def test_product_excess_from_hk_and_inverses_matches_both_products(
         a5xz2, monkeypatch, table):
     # the reference: HK & KH outside H | K from two product bitsets
-    from linhyp.regular import _product_excess
+    from linhyp.regular import _pair, _product_excess
     rng = random.Random(5)
     invs = involutions(a5xz2)
-    pairs = [(a5xz2.subgroup_bits(rng.sample(invs, 2)),
-              a5xz2.subgroup_bits(rng.sample(invs, 2))) for _ in range(60)]
+    gens = [(rng.sample(invs, 2), rng.sample(invs, 2)) for _ in range(60)]
+    pairs = [(a5xz2.subgroup_bits(a), a5xz2.subgroup_bits(b))
+             for a, b in gens]
     expected = [a5xz2.product_bits(h, k) & a5xz2.product_bits(k, h) & ~(h | k)
                 for h, k in pairs]
     if not table:
         monkeypatch.setattr(a5xz2, "_flat", None)
-    assert [_product_excess(a5xz2, h, k) for h, k in pairs] == expected
+    assert [_product_excess(a5xz2, _pair(a5xz2, *a, {}), _pair(a5xz2, *b, {}))
+            for a, b in gens] == expected
     assert any(expected) and not all(expected)
 
 
@@ -468,27 +472,41 @@ def _squares(group):
 
 
 def _recording(monkeypatch, group):
-    """The seeds of every ``subgroup_bits`` call on ``group``'s class, and
-    the bitset of every ``_normal_closure``, whose own closures are not
-    ``subgroup_bits`` calls."""
+    """Every closure on ``group``'s class: the seeds of each
+    ``subgroup_bits`` call, the sorted pair of each pair subgroup that
+    ``_pair`` builds, and the start's seeds and then the new seeds of each
+    walk resumed from a subgroup (a span); and the bitset of every
+    ``_normal_closure``, whose own closures are not recorded."""
     calls, normal = [], []
     cls = type(group)
     original, original_normal = cls.subgroup_bits, cls._normal_closure
+    original_walk, original_pair = cls._closure_bits, linhyp.regular._pair
 
-    def closing(self, seeds, exits):
-        bits = original_normal(self, seeds, exits)
+    def closing(self, *args):
+        bits = original_normal(self, *args)
         normal.append(bits)
         return bits
+
+    def walking(self, seeds, exits=None, start=((0,), ()), ell=0):
+        if start[1]:
+            calls.append((*start[1], *seeds))
+        return original_walk(self, seeds, exits, start, ell)
+
+    def pairing(g, a, b, memo):
+        if _pair_key(a, b) not in memo:
+            calls.append(_pair_key(a, b))
+        return original_pair(g, a, b, memo)
     monkeypatch.setattr(cls, "subgroup_bits",
                         lambda self, seeds: calls.append(tuple(seeds))
                         or original(self, seeds))
     monkeypatch.setattr(cls, "_normal_closure", closing)
+    monkeypatch.setattr(cls, "_closure_bits", walking)
+    monkeypatch.setattr(linhyp.regular, "_pair", pairing)
     return calls, normal
 
 
-def _pair_seeds(group, a, b):
-    a, b = sorted((a, b))
-    return (group.mul(a, b), a)
+def _pair_key(a, b):
+    return (a, b) if a < b else (b, a)
 
 
 def test_each_triple_closes_each_subgroup_once(monkeypatch, a5xz2):
@@ -501,12 +519,11 @@ def test_each_triple_closes_each_subgroup_once(monkeypatch, a5xz2):
     assert a7._exits.first == a7.order // 7
     calls, normal = _recording(monkeypatch, a7)
     m = RegularLinearHypermap.from_triple(t)
-    # H, K and L lead with their rotations; r0r1 (order 6) is the rotation
-    # of largest order, so S leads with it and r0, then r2
-    r0r1 = a7.mul(r0, r1)
+    # H, K and L are built once each; L = <r0, r1> (r0r1 of order 6) is
+    # the largest pair subgroup, so S resumes from it and adds r2
     assert sorted(calls) == sorted([
-        _pair_seeds(a7, r1, r2), _pair_seeds(a7, r0, r2), (r0r1, r0, r2),
-        _pair_seeds(a7, r0, r1)])
+        _pair_key(r1, r2), _pair_key(r0, r2), (r0, r1, r2),
+        _pair_key(r0, r1)])
     assert normal == []
 
     calls.clear()
@@ -560,8 +577,8 @@ def test_validating_then_building_closes_nothing_again(monkeypatch):
     assert validate_regular(t).ok
     r0, r1, r2 = t.indices
     assert sorted(calls) == sorted([
-        _pair_seeds(a7, r1, r2), _pair_seeds(a7, r0, r2),
-        (a7.mul(r0, r1), r0, r2), _pair_seeds(a7, r0, r1)])
+        _pair_key(r1, r2), _pair_key(r0, r2), (r0, r1, r2),
+        _pair_key(r0, r1)])
     calls.clear()
     m = RegularLinearHypermap.from_triple(t)
     assert calls == []
@@ -737,3 +754,107 @@ def test_span_and_orientability_match_the_rotation_subgroup(path):
             m.triple).orientable
         assert _span_bits(group, r0, r1, r2, {}) == group.subgroup_bits(
             m.triple.indices)
+
+
+def _least(group, bits):
+    return group.word((bits & -bits).bit_length() - 1)
+
+
+def _reference_report(group, r0, r1, r2):
+    """The three checks from their definitions: H, K and the span closed
+    by ``subgroup_bits`` from the involutions, HK and KH by
+    ``product_bits``."""
+    h, k = group.subgroup_bits((r1, r2)), group.subgroup_bits((r0, r2))
+    meet, cyclic = h & k, 1 | 1 << r2
+    extra = group.product_bits(h, k) & group.product_bits(k, h) & ~(h | k)
+    span = group.subgroup_bits((r0, r1, r2)).bit_count()
+    return ValidationReport((
+        CheckResult(
+            "generates", span == group.order,
+            "" if span == group.order else
+            f"triple generates a subgroup of order {span} < {group.order}"),
+        CheckResult(
+            "stabilizer-intersection", meet == cyclic,
+            "" if meet == cyclic else
+            f"<r1,r2> meets <r0,r2> in {meet.bit_count()} elements; least "
+            f"outside <r2>: {_least(group, meet & ~cyclic)}"),
+        CheckResult(
+            "product-intersection", not extra,
+            "" if not extra else "HK and KH overlap beyond H union K; "
+            "least outside H union K: " + _least(group, extra)),
+    ))
+
+
+def _assert_reports_match_the_definitions(group, seed, count):
+    rng = random.Random(seed)
+    invs = involutions(group)
+    verdicts = set()
+    for _ in range(count):
+        t = InvolutionTriple(group, *rng.sample(invs, 3))
+        report = validate_regular(t)
+        assert report == _reference_report(group, *t.indices), t
+        verdicts.add(tuple(report.failed_names()))
+    return verdicts
+
+
+@pytest.mark.parametrize("path", _GROUP_FILES,
+                         ids=lambda p: f"{p.parent.name}-{p.stem}")
+def test_check_from_rotations_matches_the_definitions(path):
+    # pair subgroups from one row walk, HK and KH from rotation cosets, and
+    # the span resumed from a pair subgroup with its Lagrange exit
+    group = parse_group_file(path).group
+    verdicts = _assert_reports_match_the_definitions(group, path.stem, 300)
+    assert len(verdicts) > 1
+
+
+@pytest.mark.parametrize("name", ["a5xz2", "s5"])
+def test_check_from_rotations_matches_the_definitions_without_table(
+        name, monkeypatch):
+    group = parse_group_file(
+        REPO_ROOT / "perfbench" / "groups" / f"{name}.grp").group
+    monkeypatch.setattr(group, "_flat", None)
+    verdicts = _assert_reports_match_the_definitions(group, name, 300)
+    assert () in verdicts and len(verdicts) > 1
+
+
+def test_lagrange_exit_returns_a6_before_any_coset(monkeypatch):
+    # r1r2, r0r2 and r0r1 have orders 3, 4 and 5, so every subgroup that
+    # holds the triple has a multiple of lcm(6, 8, 10) = 120 elements; no
+    # proper subgroup of A6 has more than 360/6 = 60, so the span is A6
+    a6 = parse_group_file(REPO_ROOT / "perfbench" / "groups" / "a6.grp").group
+    t = triple_from_words(a6, "(2 5)(3 4);(1 4)(2 6);(1 2)(3 5)")
+    r0, r1, r2 = t.indices
+    pairs = ((r1, r2), (r0, r2), (r0, r1))
+    assert sorted(a6.element_order(a6.mul(a, b)) for a, b in pairs) == [
+        3, 4, 5]
+    exits = a6._find_exits()
+    assert exits.mu == 6 and exits.largest_proper(360, 120) == 0
+    memo = {}
+    for a, b in pairs:
+        linhyp.regular._pair(a6, a, b, memo)
+    # with the table set aside, every element a walk gathered would be a
+    # mul; the only one left reads r0r1, whose order picks the start
+    monkeypatch.setattr(a6, "_flat", None)
+    calls, mul = [], a6.mul
+    monkeypatch.setattr(a6, "mul", lambda i, j: calls.append((i, j))
+                        or mul(i, j))
+    assert _span_bits(a6, r0, r1, r2, memo) == (1 << 360) - 1
+    assert calls == [(r0, r1)]
+
+
+def test_spans_at_the_lagrange_bound_keep_their_own_bits():
+    # A6, the stabiliser of 7 in A7: orders 4, 4 and 5 give lcm 40, and
+    # 2520/40 = 63 has 7 as its least divisor from mu = 7 on, so a proper
+    # subgroup holding the triple may have 360 elements, and this one has
+    a7 = parse_group_file(REPO_ROOT / "perfbench" / "groups" / "a7.grp").group
+    t = triple_from_words(a7, "(1 2)(3 4);(2 3)(4 5);(1 6)(2 5)")
+    assert a7._find_exits().largest_proper(2520, 40) == 360
+    a6 = sum(1 << i for i, p in enumerate(a7.elements) if p.images[6] == 6)
+    assert _span_bits(a7, *t.indices, {}) == a6
+    # S6 x 1 in s6xz2: M = <seeds>·A6 is S6 itself, found before the walk
+    s6xz2 = parse_group_file(
+        REPO_ROOT / "perfbench" / "groups" / "s6xz2.grp").group
+    t = triple_from_words(s6xz2, "(2 5);(1 6)(2 4)(3 5);(3 6)(4 5)")
+    s6 = sum(1 << i for i, p in enumerate(s6xz2.elements) if p.images[6] == 6)
+    assert _span_bits(s6xz2, *t.indices, {}) == s6
+    assert s6.bit_count() == 720
