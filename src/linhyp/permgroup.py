@@ -270,18 +270,21 @@ class _Exits:
                  class_of: list[int] | None = None):
         self.squares, self.first, self.mu = squares, first, mu
         self.coset_of, self.cosets, self.class_of = coset_of, cosets, class_of
-        self.bounds: dict[tuple[int, int], int] = {}
+        self.bounds: dict[tuple[int, int, int], int] = {}
 
-    def largest_proper(self, order: int, ell: int) -> int:
+    def largest_proper(self, order: int, ell: int, least: int = 0) -> int:
         """The largest order a proper subgroup T of M can have when M has
         ``order`` elements and ``ell`` divides ``|T|``, or 0 when there is
         none.  ``|M : T|`` divides ``order / ell`` and is at least mu, so
-        it is the least divisor of ``order / ell`` from mu on."""
-        bound = self.bounds.get((order, ell))
+        it is the least divisor of ``order / ell`` from mu on.  Given
+        ``least``, the same for a subgroup of ``order`` elements whose
+        proper subgroups have index ``least`` or more."""
+        least = least or self.mu
+        bound = self.bounds.get((order, ell, least))
         if bound is None:
             q = order // ell
-            bound = self.bounds[order, ell] = next(
-                (order // e for e in range(self.mu, q + 1) if q % e == 0), 0)
+            bound = self.bounds[order, ell, least] = next(
+                (order // e for e in range(least, q + 1) if q % e == 0), 0)
         return bound
 
 
@@ -322,6 +325,7 @@ class FiniteGroup:
         self._inverse = array("I", (self._index[e.inverse().images]
                                     for e in self.elements))
         self._orders: list[int | None] = [None] * self.order
+        self._fixing: list[int | None] = [None] * degree
         self._exits: _Exits | None = None
         self._words: list[str | None] = [None] * self.order
         self._aut_cache: tuple[GroupAutomorphism, ...] | None = None
@@ -462,9 +466,16 @@ class FiniteGroup:
         The walk resumes from ``start``: the elements of a subgroup already
         closed and the seeds that generate it, which count among the seeds.
         Given ``ell``, a number dividing the order of every subgroup that
-        holds the seeds, M is found before the walk, which stops past the
-        largest order a proper subgroup of M holding the seeds can have
-        (:meth:`_Exits.largest_proper`), and returns M at once when there is
+        holds the seeds, the walk first reads the seeds' orbits on the
+        points (orbit–stabiliser; Seress, *Permutation Group Algorithms*,
+        2003).  The span S has a multiple of each orbit length as its
+        order, so the lengths join ``ell``, and S fixes the points F that
+        every seed fixes, so it lies in ``Y = M ∩ G_F``, G_F being the
+        pointwise stabiliser of F (:meth:`_fixing_bits`) and M found
+        before the walk.  The walk stops past the largest order a proper
+        subgroup of Y holding the seeds can have
+        (:meth:`_Exits.largest_proper`, with index at least mu when Y is
+        M and 2 when it is smaller), and returns Y at once when there is
         no such order.
         """
         exits = exits or self._exits or self._find_exits()
@@ -479,9 +490,18 @@ class FiniteGroup:
         bound = exits.first
         target = (1 << n) - 1 if exits.cosets is None else None
         if ell:
+            every = [*start[1], *seeds]
             if target is None:
-                target = self._residual_span(exits, [*start[1], *seeds])
-            bound = exits.largest_proper(target.bit_count(), ell)
+                target = self._residual_span(exits, every)
+            roots = _orbit_roots([self.elements[s].images for s in every],
+                                 self.degree)
+            orbits = {root: roots.count(root) for root in set(roots)}
+            inside = target & self._fixing_bits(
+                p for p, size in orbits.items() if size == 1)
+            bound = exits.largest_proper(
+                inside.bit_count(), lcm(ell, *orbits.values()),
+                2 if inside != target else 0)
+            target = inside
             if len(members) > bound:
                 return target
         for s in seeds:
@@ -512,6 +532,22 @@ class FiniteGroup:
                                 return target
                         reps.append(y)
         return _bits_of(members, n)
+
+    def _fixing_bits(self, points: Iterable[int]) -> int:
+        """Bitset of the pointwise stabiliser of the 0-based ``points``, the
+        AND of each point's stabiliser (every bit set for no points).  A
+        point's bitset is built on first use, one read of every element,
+        and kept, so the group holds at most ``degree * |G| / 8`` bytes of
+        them."""
+        bits = -1
+        for p in points:
+            fixing = self._fixing[p]
+            if fixing is None:
+                fixing = self._fixing[p] = _bits_of(
+                    [i for i, e in enumerate(self.elements)
+                     if e.images[p] == p], self.order)
+            bits &= fixing
+        return bits
 
     def _residual_span(self, exits: _Exits, seeds: Sequence[int]) -> int:
         """Bitset of ``M = <seeds>·N``: the N-cosets that the seeds' cosets

@@ -27,13 +27,14 @@ Each closure works from the rotations ``ρ = r1 r2`` and ``σ = r0 r2``.
 H is dihedral: the powers of ρ, one walk along a table row, and their
 products with r1 or r2, one gather; so is K, from σ.  Since
 ``H = <ρ><r2>`` and ``r2 K = K``, HK is the union of the cosets
-``ρ^i K``, and KH that of the ``σ^j H``: k + m gathers for
-``|H| = 2k`` and ``|K| = 2m``.  The span's walk resumes from the
-largest of H, K and ``L = <r0,r1>`` and adds the third involution;
-every subgroup holding the triple has a multiple of
-``lcm(|H|, |K|, |L|)`` elements, so the walk stops once no proper
-subgroup can hold what it found, and S is then the whole of the
-subgroup M its closure exits name.
+``ρ^i K``: k gathers for ``|H| = 2k``, and KH, the inverses of HK, one
+gather more.  The span's walk resumes from the largest of H, K and
+``L = <r0,r1>`` and adds the third involution.  Every subgroup holding
+the triple has a multiple of ``lcm(|H|, |K|, |L|)`` and of each of the
+triple's orbit lengths on the points as its order, and S fixes the
+points the three involutions fix.  So S lies in ``Y``, the part of the
+subgroup M its closure exits name that fixes those points, and the walk
+stops once no proper subgroup of Y can hold what it found: S is then Y.
 
 Each triple is checked once, also when a caller validates it and then
 builds it.  A group keeps one slot for ``validate_regular`` and
@@ -46,6 +47,7 @@ closes no subgroup.
 from __future__ import annotations
 
 import enum
+import operator
 from math import lcm
 from typing import Iterator
 
@@ -208,28 +210,25 @@ def _pair(group: FiniteGroup, a: int, b: int,
 
 def _product_excess(group: FiniteGroup, h: tuple, k: tuple) -> int:
     """The elements of ``HK & KH`` outside ``H | K``, as a bitset, for two
-    pair subgroups as :func:`_pair` keeps them: the two product sets met
-    and cut down by set operations in C."""
-    hk = _rotation_product(group, h, k)
-    hk &= _rotation_product(group, k, h)
-    hk.difference_update(h[2], k[2])
-    return _bits_of(hk, group.order)
+    pair subgroups as :func:`_pair` keeps them.
 
-
-def _rotation_product(group: FiniteGroup, h: tuple, k: tuple) -> set[int]:
-    """HK, the union of the cosets xK over the rotations x of H.
-
-    H is its rotations times ``<a>`` for either of its generators a, and
-    ``aK = K`` when a lies in K, as r2 does for a triple's H and K; so HK
-    takes one gather of K per rotation of H.  When neither generator of H
-    lies in K, ``K | aK`` takes the place of K.
+    HK is the union of the cosets xK over the rotations x of H: H is its
+    rotations times ``<a>`` for either of its generators a, and ``aK = K``
+    when a lies in K, as r2 does for a triple's H and K; so HK takes one
+    gather of K per rotation of H.  When neither generator of H lies in K,
+    ``K | aK`` takes the place of K.  ``(HK)^-1 = KH``, so KH is one more
+    gather, of the inverses at HK, and the two product sets are met and
+    cut down by set operations in C.
     """
     _, rotations, elements = h
     k_bits, _, ks = k
     a, b = elements[len(rotations):len(rotations) + 2]
     if not (k_bits >> a & 1 or k_bits >> b & 1):
         ks = [*ks, *group._left(a, ks)]
-    return group._products(rotations, ks)
+    hk = group._products(rotations, ks)
+    hk.intersection_update(operator.itemgetter(*hk)(group._inverse))
+    hk.difference_update(elements, k[2])
+    return _bits_of(hk, group.order)
 
 
 def _span_bits(group: FiniteGroup, r0: int, r1: int, r2: int,
@@ -240,8 +239,11 @@ def _span_bits(group: FiniteGroup, r0: int, r1: int, r2: int,
     ``K = <r0,r2>`` and ``L = <r0,r1>``: H and K the checks have closed,
     and L is closed, and kept, only when it is the largest.  The third
     involution is then added coset by coset.  S holds H, K and L, so
-    ``|S|`` is a multiple of ``lcm(|H|, |K|, |L|)``, and the walk stops at
-    the Lagrange exit this gives (:meth:`FiniteGroup._closure_bits`).
+    ``|S|`` is a multiple of ``lcm(|H|, |K|, |L|)``, and of each length of
+    the triple's orbits on the points, which the walk reads first; S lies
+    in the pointwise stabiliser of the points the triple fixes.  The walk
+    stops at the Lagrange exit these give (:meth:`FiniteGroup._closure_bits`).
+    A span keeps its exact bits.
     """
     key = tuple(sorted((r0, r1, r2)))
     bits = memo.get(key)

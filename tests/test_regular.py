@@ -858,3 +858,72 @@ def test_spans_at_the_lagrange_bound_keep_their_own_bits():
     s6 = sum(1 << i for i, p in enumerate(s6xz2.elements) if p.images[6] == 6)
     assert _span_bits(s6xz2, *t.indices, {}) == s6
     assert s6.bit_count() == 720
+
+
+def _span_and_muls(monkeypatch, group, t):
+    """The span of ``t`` and the ``mul`` calls it makes with the table set
+    aside, where every element a walk gathers is one; the pair subgroups
+    and the orders of their rotations are found first, with the table."""
+    r0, r1, r2 = t.indices
+    memo = {}
+    for a, b in ((r1, r2), (r0, r2), (r0, r1)):
+        linhyp.regular._pair(group, a, b, memo)
+        group.element_order(group.mul(a, b))
+    group._find_exits()
+    monkeypatch.setattr(group, "_flat", None)
+    calls, mul = [], group.mul
+    monkeypatch.setattr(group, "mul", lambda i, j: calls.append((i, j))
+                        or mul(i, j))
+    return _span_bits(group, r0, r1, r2, memo), calls
+
+
+def test_a_span_fixing_a_point_stops_inside_its_stabiliser(monkeypatch):
+    # the triple fixes 7 and moves 1..6 in one orbit, so its span lies in
+    # Y = A6, the stabiliser of 7, and has a multiple of lcm(40, 6) = 120
+    # elements; a proper subgroup of Y has index 2 or more, and the least
+    # divisor of 360/120 = 3 is 3, so past 120 elements the span is Y
+    a7 = parse_group_file(REPO_ROOT / "perfbench" / "groups" / "a7.grp").group
+    t = triple_from_words(a7, "(1 2)(3 4);(2 3)(4 5);(1 6)(2 5)")
+    a6 = sum(1 << i for i, p in enumerate(a7.elements) if p.images[6] == 6)
+    bits, calls = _span_and_muls(monkeypatch, a7, t)
+    assert bits == a6
+    assert len(calls) <= 360 // 2
+
+
+def test_a_transitive_span_whose_orbit_completes_the_bound_is_a7_at_once(
+        monkeypatch):
+    # r1r2, r0r2 and r0r1 have orders 3, 5 and 4, so ell = 120, which
+    # leaves room for A6 (2520/120 = 21, least divisor 7 from mu = 7 on);
+    # the triple moves all seven points, so lcm(120, 7) = 840 divides the
+    # span's order, and 2520/840 = 3 has no divisor from 7 on
+    a7 = parse_group_file(REPO_ROOT / "perfbench" / "groups" / "a7.grp").group
+    t = triple_from_words(a7, "(2 6)(3 7);(1 7)(3 5);(3 4)(6 7)")
+    exits = a7._find_exits()
+    assert exits.largest_proper(2520, 120) == 360
+    assert exits.largest_proper(2520, 840) == 0
+    bits, calls = _span_and_muls(monkeypatch, a7, t)
+    assert bits == (1 << 2520) - 1
+    assert calls == [(t.r0, t.r1)]
+
+
+# groups inside S_k x Z2 on k + 2 points, k from 3 to 6: each generator
+# permutes 1..k and may swap the last two points, so that spans often fix
+# points and split the rest into several orbits
+_split_generators = st.integers(3, 6).flatmap(lambda k: st.lists(
+    st.tuples(st.permutations(range(k)), st.booleans()).map(
+        lambda p: (*p[0], *((k + 1, k) if p[1] else (k, k + 1)))),
+    min_size=2, max_size=3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_split_generators | random_generators, st.booleans(), st.data())
+def test_span_from_orbits_and_fixed_points_matches_the_closure(
+        images, table, data):
+    group = closure([Permutation(p) for p in images])
+    invs = involutions(group)
+    assume(len(invs) >= 3)
+    if not table:
+        group._flat = None
+    t = data.draw(st.lists(st.sampled_from(invs), min_size=3, max_size=3,
+                           unique=True))
+    assert _span_bits(group, *t, {}) == group.subgroup_bits(t)
