@@ -466,17 +466,20 @@ class FiniteGroup:
         The walk resumes from ``start``: the elements of a subgroup already
         closed and the seeds that generate it, which count among the seeds.
         Given ``ell``, a number dividing the order of every subgroup that
-        holds the seeds, the walk first reads the seeds' orbits on the
-        points (orbit–stabiliser; Seress, *Permutation Group Algorithms*,
-        2003).  The span S has a multiple of each orbit length as its
-        order, so the lengths join ``ell``, and S fixes the points F that
-        every seed fixes, so it lies in ``Y = M ∩ G_F``, G_F being the
-        pointwise stabiliser of F (:meth:`_fixing_bits`) and M found
-        before the walk.  The walk stops past the largest order a proper
-        subgroup of Y holding the seeds can have
-        (:meth:`_Exits.largest_proper`, with index at least mu when Y is
-        M and 2 when it is smaller), and returns Y at once when there is
-        no such order.
+        holds the seeds, M is found before the walk, and the walk stops
+        past the largest order a proper subgroup of M holding the seeds can
+        have (:meth:`_Exits.largest_proper`), returning M at once when the
+        start is already past it.  Otherwise, when the degree is no larger
+        than that bound, so that one pass over the points costs no more
+        than the walk it may shorten, the walk first reads the seeds'
+        orbits on the points (orbit–stabiliser; Seress, *Permutation Group
+        Algorithms*, 2003).  The span S has a multiple of each orbit length
+        as its order, so the lengths join ``ell``, and S fixes the points F
+        that every seed fixes, so it lies in ``Y = M ∩ G_F``, G_F being the
+        pointwise stabiliser of F (:meth:`_fixing_bits`).  The bound is
+        then the largest order of a proper subgroup of Y holding the seeds,
+        with index at least mu when Y is M and 2 when it is smaller, and
+        the walk returns Y at once when there is no such order.
         """
         exits = exits or self._exits or self._find_exits()
         n, mul = self.order, self.mul
@@ -493,17 +496,21 @@ class FiniteGroup:
             every = [*start[1], *seeds]
             if target is None:
                 target = self._residual_span(exits, every)
-            roots = _orbit_roots([self.elements[s].images for s in every],
-                                 self.degree)
-            orbits = {root: roots.count(root) for root in set(roots)}
-            inside = target & self._fixing_bits(
-                p for p, size in orbits.items() if size == 1)
-            bound = exits.largest_proper(
-                inside.bit_count(), lcm(ell, *orbits.values()),
-                2 if inside != target else 0)
-            target = inside
+            bound = exits.largest_proper(target.bit_count(), ell)
             if len(members) > bound:
                 return target
+            # one pass over the points, never longer than the walk it bounds
+            if self.degree <= bound:
+                orbits = Counter(_orbit_roots(
+                    [self.elements[s].images for s in every], self.degree))
+                inside = target & self._fixing_bits(
+                    p for p, size in orbits.items() if size == 1)
+                bound = exits.largest_proper(
+                    inside.bit_count(), lcm(ell, *orbits.values()),
+                    2 if inside != target else 0)
+                target = inside
+                if len(members) > bound:
+                    return target
         for s in seeds:
             if s in members:
                 continue

@@ -240,7 +240,8 @@ def _span_bits(group: FiniteGroup, r0: int, r1: int, r2: int,
     and L is closed, and kept, only when it is the largest.  The third
     involution is then added coset by coset.  S holds H, K and L, so
     ``|S|`` is a multiple of ``lcm(|H|, |K|, |L|)``, and of each length of
-    the triple's orbits on the points, which the walk reads first; S lies
+    the triple's orbits on the points, which the walk reads first unless
+    there are more points than the walk could gather elements; S lies
     in the pointwise stabiliser of the points the triple fixes.  The walk
     stops at the Lagrange exit these give (:meth:`FiniteGroup._closure_bits`).
     A span keeps its exact bits.

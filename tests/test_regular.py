@@ -927,3 +927,36 @@ def test_span_from_orbits_and_fixed_points_matches_the_closure(
     t = data.draw(st.lists(st.sampled_from(invs), min_size=3, max_size=3,
                            unique=True))
     assert _span_bits(group, *t, {}) == group.subgroup_bits(t)
+
+
+def test_spans_on_many_fixed_points_read_no_more_points_than_elements(
+        monkeypatch):
+    # <(1 2), (3 4), (5 6)> on 20000 points has 8 elements and fixes all
+    # but six points: a pass over the points would cost far more than any
+    # walk through the group, so no span may read more points than that
+    group = closure([parse_cycles(w, 20000) for w in ("(1 2)", "(3 4)",
+                                                      "(5 6)")])
+    reads, orbit_roots = [], linhyp.permgroup._orbit_roots
+    monkeypatch.setattr(linhyp.permgroup, "_orbit_roots",
+                        lambda actions, n, points=None: reads.append(n)
+                        or orbit_roots(actions, n, points))
+    invs = involutions(group)
+    triples = [(a, b, c) for a in invs for b in invs for c in invs
+               if len({a, b, c}) == 3]
+    for t in triples:
+        assert _span_bits(group, *t, {}) == group.subgroup_bits(t)
+    assert sum(reads) <= group.order * len(triples)
+
+
+def test_a_span_past_the_lagrange_bound_reads_no_points(monkeypatch):
+    # the a6 triple of type (3, 4, 5) is A6 from ℓ = 120 alone, so its
+    # orbits and fixed points could tell the walk nothing more
+    a6 = parse_group_file(REPO_ROOT / "perfbench" / "groups" / "a6.grp").group
+    t = triple_from_words(a6, "(2 5)(3 4);(1 4)(2 6);(1 2)(3 5)")
+    a6._find_exits()  # its orbits run on the elements, not the points
+    reads, orbit_roots = [], linhyp.permgroup._orbit_roots
+    monkeypatch.setattr(linhyp.permgroup, "_orbit_roots",
+                        lambda actions, n, points=None: reads.append(n)
+                        or orbit_roots(actions, n, points))
+    assert _span_bits(a6, *t.indices, {}) == (1 << 360) - 1
+    assert reads == []
